@@ -11,22 +11,29 @@
 //! the dead process would have — byte-identical responses, identical
 //! final stats.
 //!
+//! The checkpoint references requests by **trace seq**: the queue and
+//! every retry's waiters are stored as the seqs of their arrivals, and a
+//! retry plans its first waiter's workflow. Nothing is copied out of the
+//! trace, so a checkpoint's size depends on the queue and retry set, not
+//! on workflow size — and resuming one requires the *same* trace (see
+//! [`ServeCheckpoint::validate`]).
+//!
 //! The codec follows the system-wide discipline: little-endian
 //! fixed-width integers via [`deco_core::codec`], f64s as raw bits,
-//! workflows and budgets through the canonical [`deco_core::wire`]
-//! codecs, collections length-prefixed and walked in deterministic
-//! order. `cycle_rows` are deliberately not checkpointed: they are
-//! observability, excluded from the stats digest, and a failover run
-//! only owes byte-identity on digested state.
+//! budgets through the canonical [`deco_core::wire`] codec, collections
+//! length-prefixed and walked in deterministic order. The stats' `waits`
+//! are written as `[base][count][waits]`: a full checkpoint has base 0,
+//! while the supervisor journal writes only the waits a cycle appended
+//! (see [`ServeCheckpoint::encode_with_waits`]). `cycle_rows` are
+//! deliberately not checkpointed: they are observability, excluded from
+//! the stats digest, and a failover run only owes byte-identity on
+//! digested state.
 
-use crate::queue::QueuedRequest;
-use crate::request::{PlanRequest, Priority};
 use crate::stats::ServeStats;
 use deco_core::codec::{put_f64, put_u32, put_u64, put_u8, Reader};
-use deco_core::wire::{decode_budget, decode_workflow, encode_budget, encode_workflow};
+use deco_core::wire::{decode_budget, encode_budget};
 use deco_core::DecoError;
 use deco_solver::SearchBudget;
-use deco_workflow::Workflow;
 use std::collections::BTreeMap;
 
 /// A retrying solve in flight at the checkpoint: the public image of
@@ -36,14 +43,15 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct PendingCheckpoint {
     pub key: u64,
-    pub workflow: Workflow,
     pub deadline: f64,
     pub percentile: f64,
     pub budget: SearchBudget,
     pub key_budget: Option<f64>,
     pub attempt: u32,
     pub not_before: f64,
-    pub waiters: Vec<QueuedRequest>,
+    /// Trace seqs of the requests answered by this solve, in join order.
+    /// The first is the original requester, whose workflow is solved.
+    pub waiters: Vec<u64>,
 }
 
 /// The serve loop's full continuation at a cycle-commit boundary.
@@ -55,8 +63,8 @@ pub struct ServeCheckpoint {
     pub now: f64,
     /// Calibration refreshes `[0, refresh_next)` have been applied.
     pub refresh_next: u64,
-    /// The admission queue's pending requests, FIFO order.
-    pub queue: Vec<QueuedRequest>,
+    /// Trace seqs of the admission queue's pending requests, FIFO order.
+    pub queue: Vec<u64>,
     /// Retrying solves with their backoff deadlines and waiters.
     pub retries: Vec<PendingCheckpoint>,
     /// Per-shape observed service costs feeding `shed_estimate`.
@@ -71,80 +79,7 @@ fn corrupt(what: &str) -> DecoError {
     DecoError::Store(format!("serve checkpoint corrupt: {what}"))
 }
 
-fn put_priority(out: &mut Vec<u8>, p: Priority) {
-    put_u8(
-        out,
-        match p {
-            Priority::Interactive => 0,
-            Priority::Batch => 1,
-            Priority::Background => 2,
-        },
-    );
-}
-
-fn read_priority(r: &mut Reader<'_>) -> Result<Priority, DecoError> {
-    match r.u8()? {
-        0 => Ok(Priority::Interactive),
-        1 => Ok(Priority::Batch),
-        2 => Ok(Priority::Background),
-        other => Err(corrupt(&format!("unknown priority tag {other}"))),
-    }
-}
-
-fn put_request(out: &mut Vec<u8>, req: &PlanRequest) {
-    put_u32(out, req.tenant);
-    let wf = encode_workflow(&req.workflow);
-    put_u64(out, wf.len() as u64);
-    out.extend_from_slice(&wf);
-    put_f64(out, req.deadline);
-    put_f64(out, req.percentile);
-    match req.budget_hint {
-        Some(h) => {
-            put_u8(out, 1);
-            put_f64(out, h);
-        }
-        None => put_u8(out, 0),
-    }
-    put_priority(out, req.priority);
-}
-
-fn read_request(r: &mut Reader<'_>) -> Result<PlanRequest, DecoError> {
-    let tenant = r.u32()?;
-    let wf_len = r.len("workflow bytes")?;
-    let workflow = decode_workflow(r.take(wf_len)?)?;
-    let deadline = r.f64()?;
-    let percentile = r.f64()?;
-    let budget_hint = match r.u8()? {
-        0 => None,
-        1 => Some(r.f64()?),
-        other => return Err(corrupt(&format!("unknown budget-hint tag {other}"))),
-    };
-    let priority = read_priority(r)?;
-    Ok(PlanRequest {
-        tenant,
-        workflow,
-        deadline,
-        percentile,
-        budget_hint,
-        priority,
-    })
-}
-
-fn put_queued(out: &mut Vec<u8>, q: &QueuedRequest) {
-    put_u64(out, q.seq);
-    put_f64(out, q.arrived_at);
-    put_request(out, &q.request);
-}
-
-fn read_queued(r: &mut Reader<'_>) -> Result<QueuedRequest, DecoError> {
-    Ok(QueuedRequest {
-        seq: r.u64()?,
-        arrived_at: r.f64()?,
-        request: read_request(r)?,
-    })
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &ServeStats) {
+fn put_stats(out: &mut Vec<u8>, s: &ServeStats, waits_base: u64, waits: &[f64]) {
     for v in [
         s.requests,
         s.planned,
@@ -176,13 +111,15 @@ fn put_stats(out: &mut Vec<u8>, s: &ServeStats) {
         put_u32(out, t);
         put_u64(out, n);
     }
-    put_u64(out, s.waits.len() as u64);
-    for &w in &s.waits {
+    put_u64(out, waits_base);
+    put_u64(out, waits.len() as u64);
+    for &w in waits {
         put_f64(out, w);
     }
 }
 
-fn read_stats(r: &mut Reader<'_>) -> Result<ServeStats, DecoError> {
+/// Decode stats; returns them with the base index of their `waits`.
+fn read_stats(r: &mut Reader<'_>) -> Result<(ServeStats, u64), DecoError> {
     let mut s = ServeStats::default();
     for slot in [
         &mut s.requests,
@@ -216,80 +153,102 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServeStats, DecoError> {
         let n = r.u64()?;
         s.planned_by_tenant.insert(t, n);
     }
+    let waits_base = r.u64()?;
     let waits = r.len("waits")?;
     s.waits.reserve(waits);
     for _ in 0..waits {
         s.waits.push(r.f64()?);
     }
-    Ok(s)
+    Ok((s, waits_base))
+}
+
+fn read_seqs(r: &mut Reader<'_>, what: &str) -> Result<Vec<u64>, DecoError> {
+    let n = r.len(what)?;
+    let mut seqs = Vec::with_capacity(n);
+    for _ in 0..n {
+        seqs.push(r.u64()?);
+    }
+    Ok(seqs)
+}
+
+fn put_seqs(out: &mut Vec<u8>, seqs: &[u64]) {
+    put_u64(out, seqs.len() as u64);
+    for &s in seqs {
+        put_u64(out, s);
+    }
 }
 
 impl ServeCheckpoint {
     /// Serialize the checkpoint (no framing — the journal frames it).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u64(&mut out, self.next);
-        put_f64(&mut out, self.now);
-        put_u64(&mut out, self.refresh_next);
-        put_u64(&mut out, self.queue.len() as u64);
-        for q in &self.queue {
-            put_queued(&mut out, q);
-        }
-        put_u64(&mut out, self.retries.len() as u64);
-        for p in &self.retries {
-            put_u64(&mut out, p.key);
-            let wf = encode_workflow(&p.workflow);
-            put_u64(&mut out, wf.len() as u64);
-            out.extend_from_slice(&wf);
-            put_f64(&mut out, p.deadline);
-            put_f64(&mut out, p.percentile);
-            encode_budget(&mut out, &p.budget);
-            match p.key_budget {
-                Some(b) => {
-                    put_u8(&mut out, 1);
-                    put_f64(&mut out, b);
-                }
-                None => put_u8(&mut out, 0),
-            }
-            put_u32(&mut out, p.attempt);
-            put_f64(&mut out, p.not_before);
-            put_u64(&mut out, p.waiters.len() as u64);
-            for w in &p.waiters {
-                put_queued(&mut out, w);
-            }
-        }
-        put_u64(&mut out, self.shape_costs.len() as u64);
-        for (&shape, costs) in &self.shape_costs {
-            put_u64(&mut out, shape);
-            put_u64(&mut out, costs.len() as u64);
-            for &c in costs {
-                put_f64(&mut out, c);
-            }
-        }
-        put_stats(&mut out, &self.stats);
-        put_u64(&mut out, self.emitted);
+        self.encode_with_waits(&mut out, 0, &self.stats.waits);
         out
     }
 
-    /// Decode a checkpoint produced by [`ServeCheckpoint::encode`].
+    /// Append the checkpoint to `out` with `waits` written in place of
+    /// `stats.waits`, labelled as starting at index `waits_base` of the
+    /// run's full waits vector. [`ServeCheckpoint::encode`] is
+    /// `(0, &stats.waits)`; the supervisor journal passes the suffix a
+    /// cycle appended, so a commit's size does not grow with the trace.
+    pub fn encode_with_waits(&self, out: &mut Vec<u8>, waits_base: u64, waits: &[f64]) {
+        put_u64(out, self.next);
+        put_f64(out, self.now);
+        put_u64(out, self.refresh_next);
+        put_seqs(out, &self.queue);
+        put_u64(out, self.retries.len() as u64);
+        for p in &self.retries {
+            put_u64(out, p.key);
+            put_f64(out, p.deadline);
+            put_f64(out, p.percentile);
+            encode_budget(out, &p.budget);
+            match p.key_budget {
+                Some(b) => {
+                    put_u8(out, 1);
+                    put_f64(out, b);
+                }
+                None => put_u8(out, 0),
+            }
+            put_u32(out, p.attempt);
+            put_f64(out, p.not_before);
+            put_seqs(out, &p.waiters);
+        }
+        put_u64(out, self.shape_costs.len() as u64);
+        for (&shape, costs) in &self.shape_costs {
+            put_u64(out, shape);
+            put_u64(out, costs.len() as u64);
+            for &c in costs {
+                put_f64(out, c);
+            }
+        }
+        put_stats(out, &self.stats, waits_base, waits);
+        put_u64(out, self.emitted);
+    }
+
+    /// Decode a full checkpoint produced by [`ServeCheckpoint::encode`].
     /// Trailing bytes are an error: the payload is length-framed by its
-    /// container, so extra bytes mean in-place corruption.
+    /// container, so extra bytes mean in-place corruption. A delta
+    /// (nonzero waits base) is an error too: it is not resumable alone.
     pub fn decode(bytes: &[u8]) -> Result<ServeCheckpoint, DecoError> {
+        match ServeCheckpoint::decode_with_waits_base(bytes)? {
+            (ck, 0) => Ok(ck),
+            (_, base) => Err(corrupt(&format!("waits start at {base}, not 0"))),
+        }
+    }
+
+    /// Decode a checkpoint written by
+    /// [`ServeCheckpoint::encode_with_waits`]: `stats.waits` holds only
+    /// the written waits, and the base index they start at is returned.
+    pub fn decode_with_waits_base(bytes: &[u8]) -> Result<(ServeCheckpoint, u64), DecoError> {
         let mut r = Reader::new(bytes);
         let next = r.u64()?;
         let now = r.f64()?;
         let refresh_next = r.u64()?;
-        let queue_len = r.len("queue")?;
-        let mut queue = Vec::with_capacity(queue_len);
-        for _ in 0..queue_len {
-            queue.push(read_queued(&mut r)?);
-        }
+        let queue = read_seqs(&mut r, "queue")?;
         let retry_len = r.len("retries")?;
         let mut retries = Vec::with_capacity(retry_len);
         for _ in 0..retry_len {
             let key = r.u64()?;
-            let wf_len = r.len("retry workflow bytes")?;
-            let workflow = decode_workflow(r.take(wf_len)?)?;
             let deadline = r.f64()?;
             let percentile = r.f64()?;
             let budget = decode_budget(&mut r)?;
@@ -300,14 +259,9 @@ impl ServeCheckpoint {
             };
             let attempt = r.u32()?;
             let not_before = r.f64()?;
-            let waiter_len = r.len("retry waiters")?;
-            let mut waiters = Vec::with_capacity(waiter_len);
-            for _ in 0..waiter_len {
-                waiters.push(read_queued(&mut r)?);
-            }
+            let waiters = read_seqs(&mut r, "retry waiters")?;
             retries.push(PendingCheckpoint {
                 key,
-                workflow,
                 deadline,
                 percentile,
                 budget,
@@ -328,12 +282,12 @@ impl ServeCheckpoint {
             }
             shape_costs.insert(shape, costs);
         }
-        let stats = read_stats(&mut r)?;
+        let (stats, waits_base) = read_stats(&mut r)?;
         let emitted = r.u64()?;
         if !r.done() {
             return Err(corrupt("trailing bytes"));
         }
-        Ok(ServeCheckpoint {
+        let ck = ServeCheckpoint {
             next,
             now,
             refresh_next,
@@ -342,25 +296,40 @@ impl ServeCheckpoint {
             shape_costs,
             stats,
             emitted,
-        })
+        };
+        Ok((ck, waits_base))
+    }
+
+    /// Check that this checkpoint can resume a replay of a trace of
+    /// `trace_len` arrivals: the cursor lies within the trace, every
+    /// stored seq lies before the cursor (it was admitted), and every
+    /// retry has a first waiter to plan for. A checkpoint of another
+    /// trace can still pass; one that would index outside this trace
+    /// never does.
+    pub fn validate(&self, trace_len: usize) -> Result<(), DecoError> {
+        if self.next > trace_len as u64 {
+            return Err(corrupt(&format!(
+                "cursor {} is past the trace's {trace_len} arrivals",
+                self.next
+            )));
+        }
+        let waiters = self.retries.iter().flat_map(|p| &p.waiters);
+        if let Some(seq) = self.queue.iter().chain(waiters).find(|&&s| s >= self.next) {
+            return Err(corrupt(&format!(
+                "seq {seq} is not before the cursor {}",
+                self.next
+            )));
+        }
+        if self.retries.iter().any(|p| p.waiters.is_empty()) {
+            return Err(corrupt("a retry has no waiters"));
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deco_workflow::generators;
-
-    fn request(tenant: u32, hint: Option<f64>, priority: Priority) -> PlanRequest {
-        PlanRequest {
-            tenant,
-            workflow: generators::pipeline(3, 40.0, tenant as u64),
-            deadline: 900.0,
-            percentile: 0.9,
-            budget_hint: hint,
-            priority,
-        }
-    }
 
     fn sample() -> ServeCheckpoint {
         let mut stats = ServeStats {
@@ -376,28 +345,19 @@ mod tests {
         let mut shape_costs = BTreeMap::new();
         shape_costs.insert(42u64, vec![1.0, 2.0, 4.0]);
         ServeCheckpoint {
-            next: 12,
+            next: 13,
             now: 321.5,
             refresh_next: 1,
-            queue: vec![QueuedRequest {
-                seq: 12,
-                arrived_at: 300.0,
-                request: request(1, None, Priority::Interactive),
-            }],
+            queue: vec![12],
             retries: vec![PendingCheckpoint {
                 key: 0xDEAD_BEEF,
-                workflow: generators::pipeline(2, 30.0, 7),
                 deadline: 600.0,
                 percentile: 0.95,
                 budget: SearchBudget::unlimited(),
                 key_budget: Some(80.0),
                 attempt: 2,
                 not_before: 330.0,
-                waiters: vec![QueuedRequest {
-                    seq: 9,
-                    arrived_at: 290.0,
-                    request: request(9, Some(50.0), Priority::Background),
-                }],
+                waiters: vec![9, 11],
             }],
             shape_costs,
             stats,
@@ -413,24 +373,50 @@ mod tests {
         assert_eq!(back.next, ck.next);
         assert_eq!(back.now.to_bits(), ck.now.to_bits());
         assert_eq!(back.refresh_next, ck.refresh_next);
-        assert_eq!(back.queue.len(), 1);
-        assert_eq!(back.queue[0].seq, 12);
-        assert_eq!(back.queue[0].request.tenant, 1);
-        assert_eq!(back.queue[0].request.priority, Priority::Interactive);
+        assert_eq!(back.queue, vec![12]);
         assert_eq!(back.retries.len(), 1);
         let p = &back.retries[0];
         assert_eq!(p.key, 0xDEAD_BEEF);
         assert_eq!(p.attempt, 2);
         assert_eq!(p.not_before.to_bits(), 330.0f64.to_bits());
         assert_eq!(p.key_budget, Some(80.0));
-        assert_eq!(p.waiters.len(), 1);
-        assert_eq!(p.waiters[0].request.budget_hint, Some(50.0));
-        assert_eq!(p.waiters[0].request.priority, Priority::Background);
+        assert_eq!(p.waiters, vec![9, 11]);
         assert_eq!(back.shape_costs[&42], vec![1.0, 2.0, 4.0]);
         assert_eq!(back.stats.digest(), ck.stats.digest());
         assert_eq!(back.emitted, 10);
         // Re-encoding the decoded checkpoint is byte-identical.
         assert_eq!(back.encode(), bytes);
+    }
+
+    #[test]
+    fn waits_deltas_carry_their_base_and_are_not_resumable_alone() {
+        let ck = sample();
+        let mut delta = Vec::new();
+        ck.encode_with_waits(&mut delta, 2, &ck.stats.waits[2..]);
+        let (back, base) = ServeCheckpoint::decode_with_waits_base(&delta).unwrap();
+        assert_eq!(base, 2);
+        assert_eq!(back.stats.waits, vec![7.5]);
+        assert!(ServeCheckpoint::decode(&delta).is_err());
+        assert!(
+            delta.len() < ck.encode().len(),
+            "a delta writes only its own waits"
+        );
+    }
+
+    #[test]
+    fn validation_rejects_seqs_outside_the_trace() {
+        let ck = sample();
+        assert!(ck.validate(13).is_ok());
+        assert!(ck.validate(12).is_err(), "cursor past the trace");
+        let mut bad = sample();
+        bad.queue.push(13);
+        assert!(bad.validate(100).is_err(), "queued seq at the cursor");
+        let mut bad = sample();
+        bad.retries[0].waiters.push(99);
+        assert!(bad.validate(100).is_err(), "waiter seq past the cursor");
+        let mut bad = sample();
+        bad.retries[0].waiters.clear();
+        assert!(bad.validate(100).is_err(), "a retry without a requester");
     }
 
     #[test]

@@ -59,6 +59,6 @@ pub use server::{
 };
 pub use stats::{BackendObservability, CycleRow, ServeStats};
 pub use store::{
-    encode_frame, frame_checksum, raw_frame_at, read_frame, replay_frame_file, write_frames_atomic,
-    PlanStore, RecoveredState, StoreConfig, StoreFrame, StoreStats,
+    append_frame, encode_frame, frame_checksum, raw_frame_at, read_frame, replay_frame_file,
+    write_frames_atomic, PlanStore, RecoveredState, StoreConfig, StoreFrame, StoreStats,
 };

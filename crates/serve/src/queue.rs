@@ -20,12 +20,31 @@ use deco_solver::SearchBudget;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// One queued request: its trace sequence number, arrival tick, and body.
-#[derive(Debug, Clone)]
+/// One queued request: its trace sequence number and arrival tick, plus
+/// the scalars the queue policies read. The body stays in the borrowed
+/// trace — the serve loop resolves it as `trace.arrivals()[seq]` — so
+/// admission copies no workflow.
+#[derive(Debug, Clone, Copy)]
 pub struct QueuedRequest {
     pub seq: u64,
     pub arrived_at: f64,
-    pub request: PlanRequest,
+    pub tenant: TenantId,
+    pub priority: Priority,
+    /// The requested (not yet canonicalized) deadline.
+    pub deadline: f64,
+}
+
+impl QueuedRequest {
+    /// The queue entry for trace arrival `seq` carrying `request`.
+    pub fn of(seq: u64, arrived_at: f64, request: &PlanRequest) -> Self {
+        QueuedRequest {
+            seq,
+            arrived_at,
+            tenant: request.tenant,
+            priority: request.priority,
+            deadline: request.deadline,
+        }
+    }
 }
 
 /// A bounded admission queue, drained by (priority class, admission
@@ -66,21 +85,16 @@ impl AdmissionQueue {
     /// Admit a request, or refuse it: [`DecoError::QuotaExceeded`] when
     /// its tenant already holds its full share of the queue,
     /// [`DecoError::Overloaded`] when the queue itself is full.
-    pub fn try_admit(
-        &mut self,
-        seq: u64,
-        arrived_at: f64,
-        request: PlanRequest,
-    ) -> Result<(), DecoError> {
+    pub fn try_admit(&mut self, entry: QueuedRequest) -> Result<(), DecoError> {
         if let Some(quota) = self.tenant_quota {
             let queued = self
                 .pending
                 .iter()
-                .filter(|q| q.request.tenant == request.tenant)
+                .filter(|q| q.tenant == entry.tenant)
                 .count();
             if queued >= quota {
                 return Err(DecoError::QuotaExceeded {
-                    tenant: u64::from(request.tenant),
+                    tenant: u64::from(entry.tenant),
                     queued,
                     quota,
                 });
@@ -92,11 +106,7 @@ impl AdmissionQueue {
                 capacity: self.capacity,
             });
         }
-        self.pending.push_back(QueuedRequest {
-            seq,
-            arrived_at,
-            request,
-        });
+        self.pending.push_back(entry);
         Ok(())
     }
 
@@ -110,7 +120,7 @@ impl AdmissionQueue {
         }
         // Rank by (priority, seq): stable and deterministic.
         let mut order: Vec<usize> = (0..self.pending.len()).collect();
-        order.sort_by_key(|&i| (self.pending[i].request.priority, self.pending[i].seq));
+        order.sort_by_key(|&i| (self.pending[i].priority, self.pending[i].seq));
         order.truncate(take);
         order.sort_unstable(); // remove back-to-front so indices stay valid
         let mut batch: Vec<QueuedRequest> = order
@@ -118,20 +128,22 @@ impl AdmissionQueue {
             .rev()
             .filter_map(|i| self.pending.remove(i))
             .collect();
-        batch.sort_by_key(|q| (q.request.priority, q.seq));
+        batch.sort_by_key(|q| (q.priority, q.seq));
         batch
     }
 
-    /// The waiting requests in admission (FIFO) order — what a
-    /// checkpoint records. Draining order is recomputed from priorities
-    /// at every cycle, so the FIFO image is the whole queue state.
-    pub fn pending_snapshot(&self) -> Vec<QueuedRequest> {
-        self.pending.iter().cloned().collect()
+    /// The trace seqs of the waiting requests in admission (FIFO) order —
+    /// what a checkpoint records. Every other field of an entry is a
+    /// function of its trace arrival, and draining order is recomputed
+    /// from priorities at every cycle, so the FIFO seqs are the whole
+    /// queue state.
+    pub fn pending_seqs(&self) -> Vec<u64> {
+        self.pending.iter().map(|q| q.seq).collect()
     }
 
-    /// Replace the queue contents with a checkpointed snapshot (FIFO
-    /// order preserved). Capacity and quota stay as configured; a resume
-    /// restores exactly what [`AdmissionQueue::pending_snapshot`] saw.
+    /// Replace the queue contents with entries rebuilt from a checkpoint's
+    /// [`AdmissionQueue::pending_seqs`] (FIFO order preserved). Capacity
+    /// and quota stay as configured.
     pub fn restore_pending(&mut self, pending: Vec<QueuedRequest>) {
         self.pending = pending.into();
     }
@@ -141,7 +153,7 @@ impl AdmissionQueue {
     /// remaining slack at `now`, minus the per-request service estimate
     /// `est_service_ticks(request)` for one more cycle, has run out — and
     /// remove it from the queue. The estimator is a function of the
-    /// request so callers can thread a per-shape solve-cost model (the
+    /// queue entry so callers can thread a per-shape solve-cost model (the
     /// server's `shed_estimate` flag feeds the mean observed
     /// `budget_spent` for the request's workflow shape); a constant
     /// `|_| 0.0` reproduces the conservative policy that only sheds
@@ -153,16 +165,16 @@ impl AdmissionQueue {
         &mut self,
         now: f64,
         deadline_bucket: f64,
-        est_service_ticks: &dyn Fn(&PlanRequest) -> f64,
+        est_service_ticks: &dyn Fn(&QueuedRequest) -> f64,
     ) -> Option<QueuedRequest> {
         let mut victim: Option<(Priority, f64, u64, usize)> = None;
         for (i, q) in self.pending.iter().enumerate() {
-            let cd = canonical_deadline(q.request.deadline, deadline_bucket);
-            let slack = cd - (now - q.arrived_at) - est_service_ticks(&q.request);
+            let cd = canonical_deadline(q.deadline, deadline_bucket);
+            let slack = cd - (now - q.arrived_at) - est_service_ticks(q);
             if slack >= 0.0 {
                 continue;
             }
-            let cand = (q.request.priority, slack, q.seq, i);
+            let cand = (q.priority, slack, q.seq, i);
             // Lowest class first (Background > Batch in the Ord), then
             // most expired (smallest slack), then earliest seq.
             let better = match &victim {
@@ -235,12 +247,16 @@ mod tests {
         PlanRequest { priority, ..req(t) }
     }
 
+    fn admit(q: &mut AdmissionQueue, seq: u64, at: f64, r: PlanRequest) -> Result<(), DecoError> {
+        q.try_admit(QueuedRequest::of(seq, at, &r))
+    }
+
     #[test]
     fn queue_rejects_above_capacity_and_drains_fifo() {
         let mut q = AdmissionQueue::new(2);
-        q.try_admit(0, 0.0, req(1)).expect("admit");
-        q.try_admit(1, 1.0, req(2)).expect("admit");
-        let err = q.try_admit(2, 2.0, req(3)).expect_err("full");
+        admit(&mut q, 0, 0.0, req(1)).expect("admit");
+        admit(&mut q, 1, 1.0, req(2)).expect("admit");
+        let err = admit(&mut q, 2, 2.0, req(3)).expect_err("full");
         assert!(matches!(
             err,
             DecoError::Overloaded {
@@ -252,21 +268,17 @@ mod tests {
         assert_eq!(batch.iter().map(|b| b.seq).collect::<Vec<_>>(), vec![0, 1]);
         assert!(q.is_empty());
         // Draining frees capacity again.
-        q.try_admit(3, 3.0, req(3)).expect("admit after drain");
+        admit(&mut q, 3, 3.0, req(3)).expect("admit after drain");
         assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn priority_classes_drain_ahead_of_fifo() {
         let mut q = AdmissionQueue::new(8);
-        q.try_admit(0, 0.0, req_pri(1, Priority::Background))
-            .expect("admit");
-        q.try_admit(1, 0.0, req_pri(2, Priority::Batch))
-            .expect("admit");
-        q.try_admit(2, 0.0, req_pri(3, Priority::Interactive))
-            .expect("admit");
-        q.try_admit(3, 0.0, req_pri(4, Priority::Interactive))
-            .expect("admit");
+        admit(&mut q, 0, 0.0, req_pri(1, Priority::Background)).expect("admit");
+        admit(&mut q, 1, 0.0, req_pri(2, Priority::Batch)).expect("admit");
+        admit(&mut q, 2, 0.0, req_pri(3, Priority::Interactive)).expect("admit");
+        admit(&mut q, 3, 0.0, req_pri(4, Priority::Interactive)).expect("admit");
         // Interactive (seq order), then batch, then background.
         let batch = q.drain_batch(3);
         assert_eq!(
@@ -280,11 +292,9 @@ mod tests {
     #[test]
     fn tenant_quota_rejects_only_the_over_quota_tenant() {
         let mut q = AdmissionQueue::new(8).with_tenant_quota(2);
-        q.try_admit(0, 0.0, req(1)).expect("admit");
-        q.try_admit(1, 0.0, req(1)).expect("admit");
-        let err = q
-            .try_admit(2, 0.0, req(1))
-            .expect_err("tenant 1 over quota");
+        admit(&mut q, 0, 0.0, req(1)).expect("admit");
+        admit(&mut q, 1, 0.0, req(1)).expect("admit");
+        let err = admit(&mut q, 2, 0.0, req(1)).expect_err("tenant 1 over quota");
         assert!(matches!(
             err,
             DecoError::QuotaExceeded {
@@ -294,11 +304,11 @@ mod tests {
             }
         ));
         // Another tenant is still welcome.
-        q.try_admit(3, 0.0, req(2)).expect("tenant 2 within quota");
+        admit(&mut q, 3, 0.0, req(2)).expect("tenant 2 within quota");
         assert_eq!(q.len(), 3);
         // Draining tenant 1's requests frees its quota again.
         q.drain_batch(10);
-        q.try_admit(4, 0.0, req(1)).expect("admit after drain");
+        admit(&mut q, 4, 0.0, req(1)).expect("admit after drain");
     }
 
     #[test]
@@ -307,12 +317,9 @@ mod tests {
         // Deadline 100 s; bucket 60 floors it to 60 canonical ticks.
         // Both the interactive and background requests arrived at 0 and
         // have expired by now=500; the fresh one (arrived 490) has not.
-        q.try_admit(0, 0.0, req_pri(1, Priority::Interactive))
-            .expect("admit");
-        q.try_admit(1, 0.0, req_pri(2, Priority::Background))
-            .expect("admit");
-        q.try_admit(2, 490.0, req_pri(3, Priority::Batch))
-            .expect("admit");
+        admit(&mut q, 0, 0.0, req_pri(1, Priority::Interactive)).expect("admit");
+        admit(&mut q, 1, 0.0, req_pri(2, Priority::Background)).expect("admit");
+        admit(&mut q, 2, 490.0, req_pri(3, Priority::Batch)).expect("admit");
         let victim = q
             .shed_unmeetable(500.0, 60.0, &|_| 0.0)
             .expect("two waiters are doomed");
@@ -331,7 +338,7 @@ mod tests {
     #[test]
     fn shed_accounts_for_the_per_request_service_estimate() {
         let mut q = AdmissionQueue::new(8);
-        q.try_admit(0, 0.0, req(1)).expect("admit");
+        admit(&mut q, 0, 0.0, req(1)).expect("admit");
         // At now=30 with canonical deadline 60, slack is 30: alive with a
         // free cycle, doomed once a cycle is estimated to cost 40 ticks.
         assert!(q.shed_unmeetable(30.0, 60.0, &|_| 0.0).is_none());
@@ -341,14 +348,14 @@ mod tests {
     #[test]
     fn shed_estimator_sees_the_request_it_prices() {
         let mut q = AdmissionQueue::new(8);
-        q.try_admit(0, 0.0, req(1)).expect("admit");
-        q.try_admit(1, 0.0, req(2)).expect("admit");
+        admit(&mut q, 0, 0.0, req(1)).expect("admit");
+        admit(&mut q, 1, 0.0, req(2)).expect("admit");
         // A shape-aware estimator dooms only tenant 2's request.
-        let est = |r: &PlanRequest| if r.tenant == 2 { 80.0 } else { 0.0 };
+        let est = |q: &QueuedRequest| if q.tenant == 2 { 80.0 } else { 0.0 };
         let victim = q
             .shed_unmeetable(10.0, 60.0, &est)
             .expect("tenant 2 estimated past its deadline");
-        assert_eq!(victim.request.tenant, 2);
+        assert_eq!(victim.tenant, 2);
         assert!(q.shed_unmeetable(10.0, 60.0, &est).is_none());
     }
 

@@ -284,11 +284,11 @@ pub trait ServeBackend {
 }
 
 /// One solve a cycle is responsible for: a fresh miss (attempt 0) or a
-/// re-enqueued crash victim, plus every request waiting on its key.
+/// re-enqueued crash victim, plus every request waiting on its key. The
+/// workflow solved is the first waiter's, read from the trace.
 #[derive(Debug)]
 struct PendingSolve {
     key: u64,
-    workflow: Workflow,
     /// Canonical (bucket-floored) deadline.
     deadline: f64,
     percentile: f64,
@@ -301,39 +301,50 @@ struct PendingSolve {
     /// Earliest tick at which this job may be dispatched again.
     not_before: f64,
     /// Requests answered by this solve, in join order (the first is the
-    /// original requester).
+    /// original requester). Never empty.
     waiters: Vec<QueuedRequest>,
 }
 
 impl PendingSolve {
+    /// The workflow this solve plans: the original requester's.
+    fn workflow<'t>(&self, arrivals: &'t [Arrival]) -> &'t Workflow {
+        &arrivals[self.waiters[0].seq as usize].request.workflow
+    }
+
     /// The public checkpoint image of this solve.
     fn to_checkpoint(&self) -> PendingCheckpoint {
         PendingCheckpoint {
             key: self.key,
-            workflow: self.workflow.clone(),
             deadline: self.deadline,
             percentile: self.percentile,
             budget: self.budget.clone(),
             key_budget: self.key_budget,
             attempt: self.attempt,
             not_before: self.not_before,
-            waiters: self.waiters.clone(),
+            waiters: self.waiters.iter().map(|q| q.seq).collect(),
         }
     }
 
-    fn from_checkpoint(ck: PendingCheckpoint) -> PendingSolve {
+    /// Rebuild a solve from a checkpoint already validated against
+    /// `arrivals` (see [`ServeCheckpoint::validate`]).
+    fn from_checkpoint(ck: PendingCheckpoint, arrivals: &[Arrival]) -> PendingSolve {
         PendingSolve {
             key: ck.key,
-            workflow: ck.workflow,
             deadline: ck.deadline,
             percentile: ck.percentile,
             budget: ck.budget,
             key_budget: ck.key_budget,
             attempt: ck.attempt,
             not_before: ck.not_before,
-            waiters: ck.waiters,
+            waiters: ck.waiters.iter().map(|&s| queued(arrivals, s)).collect(),
         }
     }
+}
+
+/// The queue entry of trace arrival `seq`.
+fn queued(arrivals: &[Arrival], seq: u64) -> QueuedRequest {
+    let a = &arrivals[seq as usize];
+    QueuedRequest::of(seq, a.at_tick, &a.request)
 }
 
 /// How one request will be answered at the end of a cycle.
@@ -406,11 +417,11 @@ fn fallback_answer(
 type ShapeCosts = BTreeMap<u64, Vec<f64>>;
 
 /// Quantile (nearest-rank, `q` in `(0, 1]`) of the observed solve costs
-/// for a request's workflow shape; zero when the shape has not been
-/// solved yet (conservative: never sheds on a guess). A single-sample
-/// shape returns that sample at every quantile.
-fn shape_cost_estimate(costs: &ShapeCosts, request: &PlanRequest, q: f64) -> f64 {
-    let shape = workflow_shape_hash(&request.workflow);
+/// for a workflow's shape; zero when the shape has not been solved yet
+/// (conservative: never sheds on a guess). A single-sample shape returns
+/// that sample at every quantile.
+fn shape_cost_estimate(costs: &ShapeCosts, workflow: &Workflow, q: f64) -> f64 {
+    let shape = workflow_shape_hash(workflow);
     match costs.get(&shape) {
         Some(samples) if !samples.is_empty() => {
             let mut sorted = samples.clone();
@@ -461,7 +472,7 @@ pub fn serve_trace_backend<B: ServeBackend>(
     workers: usize,
     session: &ServeSession,
 ) -> (Vec<PlanResponse>, ServeStats) {
-    serve_trace_resumable(backend, trace, workers, session, None)
+    serve_loop(backend, trace, workers, session, None)
 }
 
 /// [`serve_trace_backend`] with an optional resume point. `resume` is
@@ -473,7 +484,28 @@ pub fn serve_trace_backend<B: ServeBackend>(
 /// committed (the backend's own state — cache, books, epoch — must
 /// already have been rebuilt by its recovery path). With `resume: None`
 /// this is `serve_trace_backend`.
+///
+/// The checkpoint references requests by trace seq, so it resumes only
+/// the trace it was taken from. It is validated against `trace` before
+/// the loop touches it ([`ServeCheckpoint::validate`]); a checkpoint
+/// whose cursor lies past the trace, or whose queued or waiting seqs lie
+/// at or past its cursor, is a corrupt checkpoint: `Err`, nothing served.
 pub fn serve_trace_resumable<B: ServeBackend>(
+    backend: &mut B,
+    trace: &ArrivalTrace,
+    workers: usize,
+    session: &ServeSession,
+    resume: Option<ServeCheckpoint>,
+) -> Result<(Vec<PlanResponse>, ServeStats), DecoError> {
+    if let Some(ck) = &resume {
+        ck.validate(trace.len())?;
+    }
+    Ok(serve_loop(backend, trace, workers, session, resume))
+}
+
+/// The cycle loop behind [`serve_trace_backend`] and
+/// [`serve_trace_resumable`]; `resume` is already validated.
+fn serve_loop<B: ServeBackend>(
     backend: &mut B,
     trace: &ArrivalTrace,
     workers: usize,
@@ -503,6 +535,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
     let mut next: usize;
     let mut now: f64;
     let mut emitted_base = 0u64;
+    let arrivals = trace.arrivals();
     match resume {
         Some(ck) => {
             // A standby resuming a committed checkpoint. The initial
@@ -512,11 +545,11 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             next = ck.next as usize;
             now = ck.now;
             refresh_next = (ck.refresh_next as usize).min(refreshes.len());
-            queue.restore_pending(ck.queue);
+            queue.restore_pending(ck.queue.iter().map(|&s| queued(arrivals, s)).collect());
             retries = ck
                 .retries
                 .into_iter()
-                .map(PendingSolve::from_checkpoint)
+                .map(|p| PendingSolve::from_checkpoint(p, arrivals))
                 .collect();
             shape_costs = ck.shape_costs;
             stats = ck.stats;
@@ -535,7 +568,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
     }
 
     let mut responses: Vec<PlanResponse> = Vec::with_capacity(trace.len());
-    let arrivals = trace.arrivals();
     let mut shed_pending = 0u64;
     let mut committed = 0usize;
 
@@ -568,7 +600,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             let deco = backend.deco();
             for job in retries.iter_mut() {
                 job.key = plan_key(
-                    &job.workflow,
+                    job.workflow(arrivals),
                     &deco.store,
                     &deco.options,
                     job.deadline,
@@ -584,11 +616,11 @@ pub fn serve_trace_resumable<B: ServeBackend>(
         // rejects the newcomer only when every waiter is still
         // viable.
         while next < arrivals.len() && arrivals[next].at_tick <= now {
-            let Arrival { at_tick, request } = arrivals[next].clone();
             let seq = next as u64;
-            let tenant = request.tenant;
+            let entry = queued(arrivals, seq);
+            let tenant = entry.tenant;
             next += 1;
-            match queue.try_admit(seq, at_tick, request.clone()) {
+            match queue.try_admit(entry) {
                 Ok(()) => {}
                 Err(e @ DecoError::QuotaExceeded { .. }) => {
                     stats.rejected_quota += 1;
@@ -611,8 +643,9 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                     // cannot fit one more solve of its own shape is
                     // sacrificed first.
                     let shed = if cfg.shed_estimate {
-                        let est = |r: &PlanRequest| {
-                            shape_cost_estimate(&shape_costs, r, cfg.shed_quantile)
+                        let est = |q: &QueuedRequest| {
+                            let workflow = &arrivals[q.seq as usize].request.workflow;
+                            shape_cost_estimate(&shape_costs, workflow, cfg.shed_quantile)
                         };
                         queue.shed_unmeetable(now, cfg.deadline_bucket, &est)
                     } else {
@@ -622,11 +655,10 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                         Some(victim) => {
                             stats.shed += 1;
                             shed_pending += 1;
-                            let cd =
-                                canonical_deadline(victim.request.deadline, cfg.deadline_bucket);
+                            let cd = canonical_deadline(victim.deadline, cfg.deadline_bucket);
                             responses.push(PlanResponse {
                                 seq: victim.seq,
-                                tenant: victim.request.tenant,
+                                tenant: victim.tenant,
                                 key: 0,
                                 outcome: ServeOutcome::Shed {
                                     reason: format!(
@@ -635,7 +667,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                                     ),
                                 },
                             });
-                            if let Err(e2) = queue.try_admit(seq, at_tick, request) {
+                            if let Err(e2) = queue.try_admit(entry) {
                                 stats.rejected_overload += 1;
                                 responses.push(PlanResponse {
                                     seq,
@@ -683,6 +715,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
         now += run_cycle(
             backend,
             &cfg,
+            arrivals,
             batch,
             ready,
             cycle,
@@ -702,8 +735,8 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                 backend,
                 &queue,
                 &retries,
-                &shape_costs,
-                &stats,
+                &mut shape_costs,
+                &mut stats,
                 next,
                 now,
                 refresh_next,
@@ -729,8 +762,8 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             backend,
             &queue,
             &retries,
-            &shape_costs,
-            &stats,
+            &mut shape_costs,
+            &mut stats,
             next,
             now,
             refresh_next,
@@ -744,16 +777,20 @@ pub fn serve_trace_resumable<B: ServeBackend>(
     (responses, stats)
 }
 
-/// Build the cycle-commit checkpoint (stats without `cycle_rows`, which
-/// are observability and not digested) and hand it — plus the responses
+/// Build the cycle-commit checkpoint and hand it — plus the responses
 /// appended since the previous commit — to the backend.
+///
+/// The running stats and shape costs are *moved* into the checkpoint and
+/// back out after the commit, so building it copies nothing that grows
+/// with the trace; `cycle_rows` (observability, not digested) are set
+/// aside meanwhile. The queue and retry images are trace seqs.
 #[allow(clippy::too_many_arguments)]
 fn commit_boundary<B: ServeBackend>(
     backend: &mut B,
     queue: &AdmissionQueue,
     retries: &[PendingSolve],
-    shape_costs: &ShapeCosts,
-    stats: &ServeStats,
+    shape_costs: &mut ShapeCosts,
+    stats: &mut ServeStats,
     next: usize,
     now: f64,
     refresh_next: usize,
@@ -761,21 +798,24 @@ fn commit_boundary<B: ServeBackend>(
     committed: &mut usize,
     responses: &[PlanResponse],
 ) -> bool {
-    let mut ck_stats = stats.clone();
-    ck_stats.cycle_rows = Vec::new();
+    let cycle_rows = std::mem::take(&mut stats.cycle_rows);
     let ck = ServeCheckpoint {
         next: next as u64,
         now,
         refresh_next: refresh_next as u64,
-        queue: queue.pending_snapshot(),
-        retries: retries.iter().map(|p| p.to_checkpoint()).collect(),
-        shape_costs: shape_costs.clone(),
-        stats: ck_stats,
+        queue: queue.pending_seqs(),
+        retries: retries.iter().map(PendingSolve::to_checkpoint).collect(),
+        shape_costs: std::mem::take(shape_costs),
+        stats: std::mem::take(stats),
         emitted: emitted_base + responses.len() as u64,
     };
     let new = &responses[*committed..];
     *committed = responses.len();
-    backend.commit_cycle(&ck, new)
+    let go = backend.commit_cycle(&ck, new);
+    *shape_costs = ck.shape_costs;
+    *stats = ck.stats;
+    stats.cycle_rows = cycle_rows;
+    go
 }
 
 /// Classify, solve, and answer one batch (plus any retry jobs whose
@@ -784,6 +824,7 @@ fn commit_boundary<B: ServeBackend>(
 fn run_cycle<B: ServeBackend>(
     backend: &mut B,
     cfg: &ServeConfig,
+    arrivals: &[Arrival],
     batch: Vec<QueuedRequest>,
     ready: Vec<PendingSolve>,
     cycle: u64,
@@ -828,7 +869,8 @@ fn run_cycle<B: ServeBackend>(
     // which also fixes the cache's LRU refresh order.
     for qr in batch {
         stats.requests += 1;
-        if let Err(e) = validate_request(&qr.request) {
+        let request = &arrivals[qr.seq as usize].request;
+        if let Err(e) = validate_request(request) {
             stats.rejected_invalid += 1;
             answers.push((
                 qr,
@@ -841,16 +883,16 @@ fn run_cycle<B: ServeBackend>(
             ));
             continue;
         }
-        let cd = canonical_deadline(qr.request.deadline, cfg.deadline_bucket);
-        let key_budget = qr.request.budget_hint.or(cfg.budget.ticks);
+        let cd = canonical_deadline(request.deadline, cfg.deadline_bucket);
+        let key_budget = request.budget_hint.or(cfg.budget.ticks);
         let key = {
             let deco = backend.deco();
             plan_key(
-                &qr.request.workflow,
+                &request.workflow,
                 &deco.store,
                 &deco.options,
                 cd,
-                qr.request.percentile,
+                request.percentile,
                 key_budget,
             )
         };
@@ -873,9 +915,9 @@ fn run_cycle<B: ServeBackend>(
             let reason = format!("content key quarantined after {strikes} worker crashes");
             let (answer, spent, failed) = fallback_answer(
                 backend.deco(),
-                &qr.request.workflow,
+                &request.workflow,
                 cd,
-                qr.request.percentile,
+                request.percentile,
                 &reason,
                 PlanSource::Quarantined,
                 &mut scratch,
@@ -902,9 +944,8 @@ fn run_cycle<B: ServeBackend>(
             key,
             PendingSolve {
                 key,
-                workflow: qr.request.workflow.clone(),
                 deadline: cd,
-                percentile: qr.request.percentile,
+                percentile: request.percentile,
                 budget: SearchBudget::unlimited(), // budgeted below
                 key_budget,
                 attempt: 0,
@@ -919,13 +960,14 @@ fn run_cycle<B: ServeBackend>(
     // Retry jobs keep their original (backoff-decremented) budgets.
     let tenants: Vec<TenantId> = fresh_order
         .iter()
-        .map(|k| jobs[k].waiters[0].request.tenant)
+        .map(|k| jobs[k].waiters[0].tenant)
         .collect();
     let shares = fair_share_budgets(cfg.cycle_tick_pool, &tenants);
     for (key, share) in fresh_order.iter().zip(shares) {
         let job = jobs.get_mut(key).expect("fresh keys were just inserted");
         let capped = min_budget(&cfg.budget, &share);
-        job.budget = effective_budget(&capped, job.waiters[0].request.budget_hint);
+        let hint = arrivals[job.waiters[0].seq as usize].request.budget_hint;
+        job.budget = effective_budget(&capped, hint);
     }
 
     // Draw worker fates by canonical job rank: rank -> virtual worker
@@ -958,6 +1000,7 @@ fn run_cycle<B: ServeBackend>(
         // The lost attempt burned its budget on a dead worker.
         service += job.budget.ticks.unwrap_or(0.0);
         job.attempt += 1;
+        let workflow = job.workflow(arrivals);
         let strikes = backend.add_strike(key);
         if strikes >= cfg.quarantine_threshold {
             backend.quarantine_key(key);
@@ -965,7 +1008,7 @@ fn run_cycle<B: ServeBackend>(
             for qr in job.waiters {
                 let (answer, spent, failed) = fallback_answer(
                     backend.deco(),
-                    &job.workflow,
+                    workflow,
                     job.deadline,
                     job.percentile,
                     &reason,
@@ -983,7 +1026,7 @@ fn run_cycle<B: ServeBackend>(
             for qr in job.waiters {
                 let (answer, spent, failed) = fallback_answer(
                     backend.deco(),
-                    &job.workflow,
+                    workflow,
                     job.deadline,
                     job.percentile,
                     &reason,
@@ -1008,7 +1051,7 @@ fn run_cycle<B: ServeBackend>(
         .values()
         .map(|job| SolveJob {
             key: job.key,
-            workflow: job.workflow.clone(),
+            workflow: job.workflow(arrivals).clone(),
             deadline: job.deadline,
             percentile: job.percentile,
             budget: job.budget.clone(),
@@ -1043,7 +1086,7 @@ fn run_cycle<B: ServeBackend>(
             Ok(plan) => {
                 if cfg.shed_estimate {
                     // Feed the shed policy's per-shape solve-cost model.
-                    let shape = workflow_shape_hash(&job.workflow);
+                    let shape = workflow_shape_hash(job.workflow(arrivals));
                     shape_costs
                         .entry(shape)
                         .or_default()
@@ -1128,15 +1171,12 @@ fn run_cycle<B: ServeBackend>(
                     PlanStage::Autoscaling => stats.stage_autoscaling += 1,
                 }
                 stats.planned += 1;
-                *stats
-                    .planned_by_tenant
-                    .entry(qr.request.tenant)
-                    .or_insert(0) += 1;
+                *stats.planned_by_tenant.entry(qr.tenant).or_insert(0) += 1;
                 let wait = cycle_start - qr.arrived_at;
                 stats.waits.push(wait);
                 responses.push(PlanResponse {
                     seq: qr.seq,
-                    tenant: qr.request.tenant,
+                    tenant: qr.tenant,
                     key,
                     outcome: ServeOutcome::Planned(Box::new(ServedPlan {
                         plan: *plan,
@@ -1152,7 +1192,7 @@ fn run_cycle<B: ServeBackend>(
                 }
                 responses.push(PlanResponse {
                     seq: qr.seq,
-                    tenant: qr.request.tenant,
+                    tenant: qr.tenant,
                     key,
                     outcome: ServeOutcome::Rejected { reason },
                 });
@@ -1761,8 +1801,8 @@ mod tests {
 
     #[test]
     fn shed_estimate_quantile_is_nearest_rank_over_shape_samples() {
-        let r = request(1, 7);
-        let shape = workflow_shape_hash(&r.workflow);
+        let r = request(1, 7).workflow;
+        let shape = workflow_shape_hash(&r);
         let mut costs = ShapeCosts::new();
         assert_eq!(
             shape_cost_estimate(&costs, &r, 0.9),

@@ -42,8 +42,10 @@ use std::path::{Path, PathBuf};
 
 /// Domain-separation seed for frame checksums.
 const FRAME_DOMAIN: u64 = 0x5E72_ECAC_4E00_0002;
-/// Reject frames claiming bodies larger than this (corrupt length word).
-const MAX_FRAME_BODY: usize = 64 * 1024 * 1024;
+/// The largest frame body the codec writes or reads. Readers reject
+/// larger length words as corrupt; writers refuse larger bodies with a
+/// [`DecoError::Store`] (see [`encode_frame`]).
+pub const MAX_FRAME_BODY: usize = 64 * 1024 * 1024;
 
 const TAG_PUT: u8 = 1;
 const TAG_TOUCH: u8 = 2;
@@ -108,13 +110,29 @@ pub fn frame_checksum(body: &[u8]) -> u64 {
 /// `[u32 LE body_len][body][u64 LE checksum]`. This is the store's
 /// on-disk frame format, reused verbatim by the shard supervisor's pipe
 /// protocol — one codec, two media.
-pub fn encode_frame(body: &[u8]) -> Vec<u8> {
-    assert!(body.len() <= MAX_FRAME_BODY, "frame body too large");
+///
+/// A body over [`MAX_FRAME_BODY`] is a [`DecoError::Store`], never a
+/// panic: no reader would accept the frame, so the writer's owner takes
+/// its degrade path (the plan store's and the journal's I/O-failure
+/// paths) instead.
+pub fn encode_frame(body: &[u8]) -> Result<Vec<u8>, DecoError> {
     let mut out = Vec::with_capacity(body.len() + 12);
-    push_u32(&mut out, body.len() as u32);
+    append_frame(&mut out, body)?;
+    Ok(out)
+}
+
+/// [`encode_frame`], appending the frame to `out` instead of allocating.
+pub fn append_frame(out: &mut Vec<u8>, body: &[u8]) -> Result<(), DecoError> {
+    if body.len() > MAX_FRAME_BODY {
+        return Err(DecoError::Store(format!(
+            "frame body of {} bytes exceeds the {MAX_FRAME_BODY}-byte cap",
+            body.len()
+        )));
+    }
+    push_u32(out, body.len() as u32);
     out.extend_from_slice(body);
-    push_u64(&mut out, frame_checksum(body));
-    out
+    push_u64(out, frame_checksum(body));
+    Ok(())
 }
 
 /// Decode the checksummed frame starting at byte `pos` of `buf`,
@@ -315,8 +333,9 @@ impl StoreFrame {
         out
     }
 
-    /// Serialize the full on-disk frame: length, body, checksum.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize the full on-disk frame: length, body, checksum. A body
+    /// over [`MAX_FRAME_BODY`] is an error (see [`encode_frame`]).
+    pub fn encode(&self) -> Result<Vec<u8>, DecoError> {
         encode_frame(&self.encode_body())
     }
 
@@ -591,7 +610,7 @@ impl PlanStore {
 
     /// Append one frame to the WAL, fsyncing on the configured cadence.
     pub fn append(&mut self, frame: &StoreFrame) -> Result<(), DecoError> {
-        let bytes = frame.encode();
+        let bytes = frame.encode()?;
         let path = self.wal_path();
         self.wal
             .write_all(&bytes)
@@ -680,7 +699,10 @@ impl PlanStore {
     /// Compact: atomically write `frames` as the new snapshot (temp file
     /// + rename), then truncate the WAL — its content is now redundant.
     pub fn compact(&mut self, frames: &[StoreFrame]) -> Result<(), DecoError> {
-        let encoded: Vec<Vec<u8>> = frames.iter().map(|f| f.encode()).collect();
+        let encoded = frames
+            .iter()
+            .map(StoreFrame::encode)
+            .collect::<Result<Vec<_>, _>>()?;
         write_frames_atomic(&self.snapshot_path(), &encoded)?;
         let wal_path = self.wal_path();
         self.wal
@@ -908,7 +930,7 @@ mod tests {
                 last_use: 1,
                 plan: p,
             };
-            frame.encode().len()
+            frame.encode().unwrap().len()
         };
         assert!(first_len < full.len());
         // Truncate the log inside the SECOND frame at every byte offset:
@@ -1053,11 +1075,21 @@ mod tests {
     }
 
     #[test]
+    fn oversize_bodies_are_store_errors_not_panics() {
+        let body = vec![0u8; MAX_FRAME_BODY + 1];
+        let err = encode_frame(&body).expect_err("over the cap");
+        assert!(matches!(err, DecoError::Store(_)), "{err}");
+        let mut out = vec![7u8];
+        assert!(append_frame(&mut out, &body).is_err());
+        assert_eq!(out, vec![7u8], "a refused frame appends nothing");
+    }
+
+    #[test]
     fn wire_frames_round_trip_through_a_pipe_style_reader() {
         let bodies: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![0xAB; 1000]];
         let mut stream = Vec::new();
         for b in &bodies {
-            stream.extend_from_slice(&encode_frame(b));
+            stream.extend_from_slice(&encode_frame(b).unwrap());
         }
         let mut r = std::io::Cursor::new(stream.clone());
         for b in &bodies {

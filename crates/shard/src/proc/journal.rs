@@ -9,8 +9,19 @@
 //! replayed with [`replay_frame_file`]'s torn-tail rules), and each
 //! serve cycle is sealed by a [`JournalFrame::Commit`] carrying the
 //! authoritative clock, per-shard seq high-water marks, shard health,
-//! the full [`ServeCheckpoint`] of the cycle loop, and the response
-//! lines this commit made emittable.
+//! the [`ServeCheckpoint`] of the cycle loop, and the response lines this
+//! commit made emittable.
+//!
+//! **Delta commits (format version 2).** The checkpoint's only field
+//! that grows with the trace is the stats' `waits`. A WAL commit carries
+//! just the waits appended since the previous sealed commit, labelled
+//! with the count they start at (`waits_base`); the commit sealing a
+//! compaction snapshot carries the full vector (base 0), and so does the
+//! first commit of every journaled run. Recovery concatenates the deltas
+//! while folding: a commit whose base is neither 0 nor the count sealed
+//! so far is a corrupt frame, ending the log there, so recovery keeps
+//! state through the previous sealed commit and never hands back a short
+//! `waits`. The bytes a commit appends thus depend only on its cycle.
 //!
 //! **Commit granularity.** Mutation frames are buffered in memory and
 //! written with their sealing `Commit` in one append, so the on-disk
@@ -36,14 +47,17 @@
 use deco_core::codec::{put_u32, put_u64, put_u8, Reader};
 use deco_core::DecoError;
 use deco_serve::checkpoint::ServeCheckpoint;
-use deco_serve::store::{encode_frame, replay_frame_file, write_frames_atomic_cadenced};
+use deco_serve::store::{
+    append_frame, encode_frame, replay_frame_file, write_frames_atomic_cadenced,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Version byte leading every journal frame body.
-pub const JOURNAL_VERSION: u8 = 1;
+/// Version byte leading every journal frame body. Version 2 made commit
+/// `waits` a delta; version-1 bodies are rejected as corrupt.
+pub const JOURNAL_VERSION: u8 = 2;
 
 /// WAL file name inside the journal directory (public so chaos tests
 /// can truncate and corrupt it from outside).
@@ -79,7 +93,7 @@ pub struct ShardHealth {
     pub quarantined: bool,
 }
 
-/// The record sealing one committed serve cycle.
+/// The record sealing one committed serve cycle, as decoded.
 #[derive(Debug, Clone)]
 pub struct CommitRecord {
     /// Supervisor cycle counter at the boundary.
@@ -90,18 +104,92 @@ pub struct CommitRecord {
     /// re-adopt).
     pub shard_seqs: Vec<u64>,
     pub shard_health: Vec<ShardHealth>,
-    /// The cycle loop's full resumable state.
+    /// The cycle loop's resumable state. In a decoded WAL frame,
+    /// `serve.stats.waits` holds only the waits from index `waits_base`
+    /// on; a recovered record always holds them all.
     pub serve: ServeCheckpoint,
+    /// Index of `serve.stats.waits[0]` in the run's full waits vector:
+    /// 0 for a full record, the previous commit's count for a delta.
+    pub waits_base: u64,
     /// Canonical response lines this commit made emittable (the delta;
     /// lines before it number `serve.emitted - lines.len()`).
     pub lines: Vec<String>,
+}
+
+impl CommitRecord {
+    /// Borrow the record as a commit to seal.
+    pub fn view(&self) -> CommitView<'_> {
+        CommitView {
+            cycle: self.cycle,
+            clock: self.clock,
+            shard_seqs: &self.shard_seqs,
+            shard_health: &self.shard_health,
+            serve: &self.serve,
+            lines: &self.lines,
+        }
+    }
+}
+
+/// A commit to seal, borrowed from its owners so sealing copies nothing
+/// (see [`SupervisorJournal::commit`]). `serve.stats.waits` is the full
+/// vector; the journal decides which suffix the WAL frame carries.
+#[derive(Debug, Clone, Copy)]
+pub struct CommitView<'a> {
+    pub cycle: u64,
+    pub clock: u64,
+    pub shard_seqs: &'a [u64],
+    pub shard_health: &'a [ShardHealth],
+    pub serve: &'a ServeCheckpoint,
+    pub lines: &'a [String],
+}
+
+/// Append a commit body (after the version byte) whose checkpoint
+/// carries `waits` labelled as starting at `waits_base`. The checkpoint
+/// is written in place behind a patched length word: encoded once.
+fn put_commit(out: &mut Vec<u8>, c: &CommitView<'_>, waits_base: u64, waits: &[f64]) {
+    put_u8(out, TAG_COMMIT);
+    put_u64(out, c.cycle);
+    put_u64(out, c.clock);
+    put_u64(out, c.shard_seqs.len() as u64);
+    for &s in c.shard_seqs {
+        put_u64(out, s);
+    }
+    put_u64(out, c.shard_health.len() as u64);
+    for h in c.shard_health {
+        put_u32(out, h.strikes);
+        put_u8(out, h.quarantined as u8);
+    }
+    let at = out.len();
+    put_u64(out, 0);
+    c.serve.encode_with_waits(out, waits_base, waits);
+    let ck_len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&ck_len.to_le_bytes());
+    put_u64(out, c.lines.len() as u64);
+    for line in c.lines {
+        put_u64(out, line.len() as u64);
+        out.extend_from_slice(line.as_bytes());
+    }
+}
+
+/// Append the body of a commit whose checkpoint carries
+/// `waits[base..]` of the view's full vector.
+fn put_commit_body(out: &mut Vec<u8>, c: &CommitView<'_>, base: usize) {
+    put_u8(out, JOURNAL_VERSION);
+    put_commit(out, c, base as u64, &c.serve.stats.waits[base..]);
+}
+
+/// The full frame of a commit whose checkpoint carries `waits[base..]`.
+fn commit_frame(c: &CommitView<'_>, base: usize) -> Result<Vec<u8>, DecoError> {
+    let mut body = Vec::new();
+    put_commit_body(&mut body, c, base);
+    encode_frame(&body)
 }
 
 /// One journal frame. Mutations mirror the supervisor→worker mutation
 /// vocabulary (absolute values, so folding is idempotent); `Commit`
 /// seals a group.
 ///
-/// `Commit` carries a whole [`CommitRecord`] and dwarfs the bookkeeping
+/// `Commit` carries a [`CommitRecord`] and dwarfs the bookkeeping
 /// variants — the same inherent WAL asymmetry as
 /// [`deco_serve::store::StoreFrame`], and frames are likewise transient
 /// (encoded immediately), so no boxing.
@@ -159,7 +247,13 @@ impl JournalFrame {
     /// Serialize the frame body (no container).
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
-        put_u8(&mut out, JOURNAL_VERSION);
+        self.encode_body_into(&mut out);
+        out
+    }
+
+    /// Append the frame body (no container) to `out`.
+    pub fn encode_body_into(&self, out: &mut Vec<u8>) {
+        put_u8(out, JOURNAL_VERSION);
         match self {
             JournalFrame::Put {
                 shard,
@@ -167,79 +261,59 @@ impl JournalFrame {
                 epoch,
                 last_use,
             } => {
-                put_u8(&mut out, TAG_PUT);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *last_use);
+                put_u8(out, TAG_PUT);
+                put_u32(out, *shard);
+                put_u64(out, *key);
+                put_u64(out, *epoch);
+                put_u64(out, *last_use);
             }
             JournalFrame::Touch {
                 shard,
                 key,
                 last_use,
             } => {
-                put_u8(&mut out, TAG_TOUCH);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
-                put_u64(&mut out, *last_use);
+                put_u8(out, TAG_TOUCH);
+                put_u32(out, *shard);
+                put_u64(out, *key);
+                put_u64(out, *last_use);
             }
             JournalFrame::Del { shard, key } => {
-                put_u8(&mut out, TAG_DEL);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
+                put_u8(out, TAG_DEL);
+                put_u32(out, *shard);
+                put_u64(out, *key);
             }
             JournalFrame::Strike { shard, key, count } => {
-                put_u8(&mut out, TAG_STRIKE);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
-                put_u32(&mut out, *count);
+                put_u8(out, TAG_STRIKE);
+                put_u32(out, *shard);
+                put_u64(out, *key);
+                put_u32(out, *count);
             }
             JournalFrame::ClearKey { shard, key } => {
-                put_u8(&mut out, TAG_CLEAR_KEY);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
+                put_u8(out, TAG_CLEAR_KEY);
+                put_u32(out, *shard);
+                put_u64(out, *key);
             }
             JournalFrame::QuarantineKey { shard, key } => {
-                put_u8(&mut out, TAG_QUARANTINE_KEY);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
+                put_u8(out, TAG_QUARANTINE_KEY);
+                put_u32(out, *shard);
+                put_u64(out, *key);
             }
             JournalFrame::Epoch { epoch } => {
-                put_u8(&mut out, TAG_EPOCH);
-                put_u64(&mut out, *epoch);
+                put_u8(out, TAG_EPOCH);
+                put_u64(out, *epoch);
             }
             JournalFrame::Purge { epoch } => {
-                put_u8(&mut out, TAG_PURGE);
-                put_u64(&mut out, *epoch);
+                put_u8(out, TAG_PURGE);
+                put_u64(out, *epoch);
             }
             JournalFrame::DropShard { shard } => {
-                put_u8(&mut out, TAG_DROP_SHARD);
-                put_u32(&mut out, *shard);
+                put_u8(out, TAG_DROP_SHARD);
+                put_u32(out, *shard);
             }
             JournalFrame::Commit(rec) => {
-                put_u8(&mut out, TAG_COMMIT);
-                put_u64(&mut out, rec.cycle);
-                put_u64(&mut out, rec.clock);
-                put_u64(&mut out, rec.shard_seqs.len() as u64);
-                for &s in &rec.shard_seqs {
-                    put_u64(&mut out, s);
-                }
-                put_u64(&mut out, rec.shard_health.len() as u64);
-                for h in &rec.shard_health {
-                    put_u32(&mut out, h.strikes);
-                    put_u8(&mut out, h.quarantined as u8);
-                }
-                let ck = rec.serve.encode();
-                put_u64(&mut out, ck.len() as u64);
-                out.extend_from_slice(&ck);
-                put_u64(&mut out, rec.lines.len() as u64);
-                for line in &rec.lines {
-                    put_u64(&mut out, line.len() as u64);
-                    out.extend_from_slice(line.as_bytes());
-                }
+                put_commit(out, &rec.view(), rec.waits_base, &rec.serve.stats.waits);
             }
         }
-        out
     }
 
     /// Parse one frame body. Any defect is a store error, never a panic.
@@ -307,7 +381,7 @@ impl JournalFrame {
                     });
                 }
                 let ck_len = r.len("checkpoint")?;
-                let serve = ServeCheckpoint::decode(r.take(ck_len)?)?;
+                let (serve, waits_base) = ServeCheckpoint::decode_with_waits_base(r.take(ck_len)?)?;
                 let n = r.len("lines")?;
                 let mut lines = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -324,6 +398,7 @@ impl JournalFrame {
                     shard_seqs,
                     shard_health,
                     serve,
+                    waits_base,
                     lines,
                 })
             }
@@ -335,8 +410,9 @@ impl JournalFrame {
         Ok(frame)
     }
 
-    /// Serialize the full container frame (length, body, checksum).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize the full container frame (length, body, checksum). A
+    /// body over the codec's cap is a [`DecoError::Store`].
+    pub fn encode(&self) -> Result<Vec<u8>, DecoError> {
         encode_frame(&self.encode_body())
     }
 }
@@ -416,7 +492,7 @@ impl FoldState {
     }
 
     /// Re-encode the state as snapshot frames (no sealing commit).
-    fn state_frames(&self) -> Vec<Vec<u8>> {
+    fn state_frames(&self) -> Result<Vec<Vec<u8>>, DecoError> {
         let mut frames = Vec::new();
         for (si, s) in self.shards.iter().enumerate() {
             let shard = si as u32;
@@ -428,17 +504,17 @@ impl FoldState {
                         epoch,
                         last_use,
                     }
-                    .encode(),
+                    .encode()?,
                 );
             }
             for (&key, &count) in &s.strikes {
-                frames.push(JournalFrame::Strike { shard, key, count }.encode());
+                frames.push(JournalFrame::Strike { shard, key, count }.encode()?);
             }
             for &key in &s.quarantine {
-                frames.push(JournalFrame::QuarantineKey { shard, key }.encode());
+                frames.push(JournalFrame::QuarantineKey { shard, key }.encode()?);
             }
         }
-        frames
+        Ok(frames)
     }
 }
 
@@ -450,6 +526,8 @@ pub struct JournalRecovery {
     /// Folded per-shard metadata (empty when no commit was found).
     pub shards: Vec<JournalShard>,
     /// The last complete commit, `None` for a fresh or fully torn log.
+    /// Always whole: `waits_base` 0 and every sealed wait, the deltas
+    /// concatenated.
     pub commit: Option<CommitRecord>,
     /// Global response index of `lines[0]`.
     pub lines_start: u64,
@@ -480,12 +558,15 @@ pub struct SupervisorJournal {
     wal: File,
     /// Encoded frames of the open (uncommitted) group.
     buf: Vec<u8>,
+    /// Reused body-encoding buffer.
+    body: Vec<u8>,
     /// Decoded frames of the open group, folded into `state` at commit.
     pending: Vec<JournalFrame>,
     /// The committed fold — the compaction source.
     state: FoldState,
-    /// The last sealed commit (carried into snapshots).
-    last_commit: Option<CommitRecord>,
+    /// `waits` sealed so far — the base of the next delta commit. `None`
+    /// makes the next commit full.
+    sealed_waits: Option<usize>,
     snapshot_every: u64,
     sync_every: u64,
     commits_since_compact: u64,
@@ -496,7 +577,8 @@ pub struct SupervisorJournal {
 impl SupervisorJournal {
     /// Open (creating if absent) and recover the journal at `dir`:
     /// snapshot first, then the WAL, torn tails tolerated in both, state
-    /// kept only through the last complete [`JournalFrame::Commit`].
+    /// kept only through the last complete [`JournalFrame::Commit`],
+    /// delta `waits` concatenated onto the recovered commit.
     /// The log is compacted immediately after recovery, so a standby
     /// starts from a one-snapshot journal whatever it inherited.
     pub fn open(
@@ -510,10 +592,12 @@ impl SupervisorJournal {
 
         // Fold both files with commit-granularity retention: `tentative`
         // runs ahead frame by frame; `committed` advances only when a
-        // sealing commit proves the group complete.
+        // sealing commit proves the group complete. `waits` is the
+        // sealed waits vector the commits' deltas extend.
         let mut committed = FoldState::default();
         let mut tentative = FoldState::default();
         let mut last_commit: Option<CommitRecord> = None;
+        let mut waits: Vec<f64> = Vec::new();
         let mut lines_start = 0u64;
         let mut lines: Vec<String> = Vec::new();
         let mut frames = 0u64;
@@ -523,9 +607,21 @@ impl SupervisorJournal {
                 let Ok(frame) = JournalFrame::decode_body(body) else {
                     return false; // undecodable body: torn tail from here
                 };
+                if let JournalFrame::Commit(rec) = &frame {
+                    if rec.waits_base != 0 && rec.waits_base != waits.len() as u64 {
+                        // A delta that does not continue the sealed waits
+                        // (a well-formed log never writes one): corrupt,
+                        // the log ends here.
+                        return false;
+                    }
+                }
                 tentative.apply(&frame);
-                if let JournalFrame::Commit(rec) = frame {
+                if let JournalFrame::Commit(mut rec) = frame {
                     committed = tentative.clone();
+                    if rec.waits_base == 0 {
+                        waits.clear();
+                    }
+                    waits.append(&mut rec.serve.stats.waits);
                     let before =
                         rec.serve.emitted - (rec.lines.len() as u64).min(rec.serve.emitted);
                     if lines.is_empty() || before != lines_start + lines.len() as u64 {
@@ -545,10 +641,20 @@ impl SupervisorJournal {
             frames += f;
             torn += t;
         }
+        // The recovered commit is whole: every sealed wait, base 0.
+        let sealed_waits = waits.len();
+        if let Some(rec) = last_commit.as_mut() {
+            rec.serve.stats.waits = waits;
+            rec.waits_base = 0;
+        }
+        let sealing = match &last_commit {
+            Some(rec) => Some(commit_frame(&rec.view(), 0)?),
+            None => None,
+        };
 
         let recovery = JournalRecovery {
             shards: committed.shards.clone(),
-            commit: last_commit.clone(),
+            commit: last_commit,
             lines_start,
             lines,
             frames,
@@ -564,9 +670,10 @@ impl SupervisorJournal {
             dir: dir.to_path_buf(),
             wal,
             buf: Vec::new(),
+            body: Vec::new(),
             pending: Vec::new(),
             state: committed,
-            last_commit,
+            sealed_waits: Some(sealed_waits),
             snapshot_every,
             sync_every,
             commits_since_compact: 0,
@@ -577,7 +684,7 @@ impl SupervisorJournal {
         // log: the inherited WAL may end in the torn group we just
         // discarded, which a later reader must not see resurrected
         // behind new appends.
-        journal.compact()?;
+        journal.compact(sealing)?;
         Ok((journal, recovery))
     }
 
@@ -588,10 +695,17 @@ impl SupervisorJournal {
         self.buf.clear();
         self.pending.clear();
         self.state = FoldState::default();
-        self.last_commit = None;
+        self.sealed_waits = None;
         self.commits_since_compact = 0;
         self.commits_since_sync = 0;
-        self.compact()
+        self.compact(None)
+    }
+
+    /// Make the next commit carry its full `waits`, whatever was sealed
+    /// before. A journaled run calls this once at its start, so its deltas
+    /// never extend another run's waits.
+    pub fn rebase(&mut self) {
+        self.sealed_waits = None;
     }
 
     pub fn dir(&self) -> &Path {
@@ -602,60 +716,74 @@ impl SupervisorJournal {
         self.stats
     }
 
-    /// Buffer one mutation frame into the open group. Infallible by
-    /// design: the bytes become durable at the sealing [`commit`]
-    /// (Self::commit), and a crash before that loses exactly the frames
-    /// recovery would discard as a torn group anyway.
-    pub fn append(&mut self, frame: &JournalFrame) {
+    /// Buffer one mutation frame into the open group. The bytes become
+    /// durable at the sealing [`commit`](Self::commit), and a crash
+    /// before that loses exactly the frames recovery would discard as a
+    /// torn group anyway. The only error is a frame over the codec's cap;
+    /// the group is then unchanged and the owner degrades.
+    pub fn append(&mut self, frame: JournalFrame) -> Result<(), DecoError> {
+        self.body.clear();
+        frame.encode_body_into(&mut self.body);
+        append_frame(&mut self.buf, &self.body)?;
         self.stats.appends += 1;
-        self.buf.extend_from_slice(&frame.encode());
-        self.pending.push(frame.clone());
+        self.pending.push(frame);
+        Ok(())
     }
 
     /// Seal the open group with `rec` and write it to the WAL in one
-    /// append, then fsync / compact on their cadences. An error means
-    /// the group may not be durable — the owner degrades (drops the
-    /// journal) rather than serving under a false durability claim.
-    pub fn commit(&mut self, rec: CommitRecord) -> Result<(), DecoError> {
-        self.buf
-            .extend_from_slice(&JournalFrame::Commit(rec.clone()).encode());
-        let wal_path = self.dir.join(WAL_FILE);
+    /// append, then fsync / compact on their cadences. The commit frame
+    /// carries only the `waits` appended since the previous sealed commit
+    /// (all of them after [`rebase`](Self::rebase) or a reset), so its
+    /// size depends on the cycle, not the trace; a compaction snapshot
+    /// seals with the full record. An error means the group may not be
+    /// durable — the owner degrades (drops the journal) rather than
+    /// serving under a false durability claim.
+    pub fn commit(&mut self, rec: CommitView<'_>) -> Result<(), DecoError> {
+        let waits = rec.serve.stats.waits.len();
+        let base = match self.sealed_waits {
+            Some(n) if n <= waits => n,
+            _ => 0,
+        };
+        self.body.clear();
+        put_commit_body(&mut self.body, &rec, base);
+        append_frame(&mut self.buf, &self.body)?;
+        let dir = &self.dir;
         self.wal
             .write_all(&self.buf)
-            .map_err(|e| journal_err("append", &wal_path, e))?;
+            .map_err(|e| journal_err("append", &dir.join(WAL_FILE), e))?;
         self.buf.clear();
-        for f in std::mem::take(&mut self.pending) {
+        for f in self.pending.drain(..) {
             self.state.apply(&f);
         }
-        self.last_commit = Some(rec);
+        self.sealed_waits = Some(waits);
         self.stats.commits += 1;
         self.commits_since_sync += 1;
         if self.sync_every > 0 && self.commits_since_sync >= self.sync_every {
+            let dir = &self.dir;
             self.wal
                 .sync_all()
-                .map_err(|e| journal_err("sync", &wal_path, e))?;
+                .map_err(|e| journal_err("sync", &dir.join(WAL_FILE), e))?;
             self.stats.syncs += 1;
             self.commits_since_sync = 0;
         }
         self.commits_since_compact += 1;
         if self.snapshot_every > 0 && self.commits_since_compact >= self.snapshot_every {
-            self.compact()?;
+            self.compact(Some(commit_frame(&rec, 0)?))?;
         }
         Ok(())
     }
 
-    /// Publish the committed fold as a fresh snapshot (tmp+rename) and
-    /// truncate the WAL.
+    /// Publish the committed fold, sealed by the full commit frame
+    /// `sealing` (none before the first commit), as a fresh snapshot
+    /// (tmp+rename) and truncate the WAL.
     ///
     /// The snapshot is fsynced only when `sync_every > 0`: an unsynced
     /// WAL cadence already trades power-loss durability for throughput,
     /// and compaction honors the same trade — tmp+rename alone is
     /// enough for the supervisor-kill failover the journal exists for.
-    pub fn compact(&mut self) -> Result<(), DecoError> {
-        let mut frames = self.state.state_frames();
-        if let Some(rec) = &self.last_commit {
-            frames.push(JournalFrame::Commit(rec.clone()).encode());
-        }
+    fn compact(&mut self, sealing: Option<Vec<u8>>) -> Result<(), DecoError> {
+        let mut frames = self.state.state_frames()?;
+        frames.extend(sealing);
         let snapshot_path = self.dir.join(SNAPSHOT_FILE);
         if frames.is_empty() {
             // Nothing committed yet: an absent snapshot is the canonical
@@ -712,6 +840,7 @@ mod tests {
                 },
             ],
             serve,
+            waits_base: 0,
             lines,
         }
     }
@@ -753,7 +882,7 @@ mod tests {
             );
         }
         // Container round trip through the shared codec.
-        let wire = frames[9].encode();
+        let wire = frames[9].encode().expect("encode");
         let (body, next) = deco_serve::store::raw_frame_at(&wire, 0).expect("container");
         assert_eq!(next, wire.len());
         match JournalFrame::decode_body(body).expect("decode") {
@@ -794,34 +923,132 @@ mod tests {
     }
 
     #[test]
+    fn version_one_bodies_are_rejected_as_corrupt() {
+        for frame in [
+            JournalFrame::Epoch { epoch: 1 },
+            JournalFrame::Commit(sample_commit(1, 0, vec!["a".into()])),
+        ] {
+            let mut body = frame.encode_body();
+            assert!(JournalFrame::decode_body(&body).is_ok());
+            body[0] = 1;
+            let err = JournalFrame::decode_body(&body).expect_err("version 1");
+            assert!(err.to_string().contains("journal corrupt"), "{err}");
+        }
+    }
+
+    #[test]
+    fn commit_bytes_do_not_grow_with_the_trace_and_deltas_recover_whole() {
+        let dir = temp_journal_dir("delta");
+        let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).map_or(0, |m| m.len());
+        let wait = |i: usize| i as f64 * 0.25;
+        // One cycle of fixed size: five new waits and one line.
+        let fixed_cycle = |rec: &mut CommitRecord| {
+            rec.cycle += 1;
+            let n = rec.serve.stats.waits.len();
+            rec.serve.stats.waits.extend((n..n + 5).map(wait));
+            rec.serve.stats.planned = rec.serve.stats.waits.len() as u64;
+            rec.serve.emitted += 1;
+            rec.lines = vec![format!("line{:06}", rec.cycle)];
+        };
+        let mut rec = sample_commit(0, 0, vec![]);
+        {
+            let (mut j, _) = SupervisorJournal::open(&dir, 0, 0).expect("open");
+            rec.serve.stats.waits = (0..10).map(wait).collect();
+            j.commit(rec.view()).expect("first commit: full");
+            fixed_cycle(&mut rec);
+            let before = wal_len();
+            j.commit(rec.view()).expect("commit after 10 waits");
+            let early = wal_len() - before;
+            rec.serve.stats.waits = (0..5_000).map(wait).collect();
+            rec.cycle += 1;
+            j.commit(rec.view()).expect("a long cycle");
+            fixed_cycle(&mut rec);
+            let before = wal_len();
+            j.commit(rec.view()).expect("commit after 5000 waits");
+            assert_eq!(
+                wal_len() - before,
+                early,
+                "a commit's bytes depend on its cycle, not on the waits before it"
+            );
+        }
+        // Reopen: the recovered commit is whole, and open() compacts it
+        // into the snapshot. Then seal delta commits into a fresh WAL
+        // and recover from snapshot + deltas.
+        {
+            let (mut j, recovery) = SupervisorJournal::open(&dir, 0, 0).expect("reopen");
+            let got = recovery.commit.expect("commit");
+            assert_eq!(got.waits_base, 0);
+            assert_eq!(got.serve.stats.waits, rec.serve.stats.waits);
+            for _ in 0..3 {
+                fixed_cycle(&mut rec);
+                j.commit(rec.view()).expect("delta commit");
+            }
+        }
+        assert!(dir.join(SNAPSHOT_FILE).exists(), "snapshot holds the base");
+        let (_j, recovery) = SupervisorJournal::open(&dir, 0, 0).expect("recover");
+        let got = recovery.commit.expect("commit");
+        assert_eq!(got.cycle, rec.cycle);
+        assert_eq!(got.serve.stats.waits.len(), 5_020);
+        assert_eq!(got.serve.stats.waits, rec.serve.stats.waits);
+        assert_eq!(got.serve.stats.digest(), rec.serve.stats.digest());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_delta_past_the_sealed_waits_ends_the_log() {
+        let dir = temp_journal_dir("bad_base");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let mut first = sample_commit(1, 0, vec!["line0".into()]);
+        first.serve.stats.waits = vec![1.0, 2.0];
+        let mut bad = sample_commit(2, 1, vec!["line1".into()]);
+        bad.serve.stats.waits = vec![3.0];
+        bad.waits_base = 5; // past the two sealed waits
+        let mut wal = JournalFrame::Commit(first).encode().expect("encode");
+        wal.extend(JournalFrame::Commit(bad).encode().expect("encode"));
+        std::fs::write(dir.join(WAL_FILE), &wal).expect("write wal");
+        let (_j, recovery) = SupervisorJournal::open(&dir, 0, 0).expect("recover");
+        let got = recovery.commit.expect("the first commit survives");
+        assert_eq!(got.cycle, 1);
+        assert_eq!(got.serve.stats.waits, vec![1.0, 2.0]);
+        assert_eq!(recovery.lines, vec!["line0"]);
+        assert!(recovery.torn_bytes > 0, "the bad frame is discarded");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn commit_groups_recover_and_torn_groups_are_discarded() {
         let dir = temp_journal_dir("groups");
         {
             let (mut j, rec) = SupervisorJournal::open(&dir, 0, 0).expect("open");
             assert!(rec.commit.is_none());
-            j.append(&JournalFrame::Put {
+            j.append(JournalFrame::Put {
                 shard: 0,
                 key: 1,
                 epoch: 1,
                 last_use: 5,
-            });
-            j.append(&JournalFrame::Strike {
+            })
+            .expect("append");
+            j.append(JournalFrame::Strike {
                 shard: 0,
                 key: 9,
                 count: 1,
-            });
-            j.commit(sample_commit(1, 0, vec!["line0".into(), "line1".into()]))
+            })
+            .expect("append");
+            j.commit(sample_commit(1, 0, vec!["line0".into(), "line1".into()]).view())
                 .expect("commit 1");
-            j.append(&JournalFrame::Touch {
+            j.append(JournalFrame::Touch {
                 shard: 0,
                 key: 1,
                 last_use: 8,
-            });
-            j.append(&JournalFrame::QuarantineKey { shard: 1, key: 11 });
-            j.commit(sample_commit(2, 2, vec!["line2".into()]))
+            })
+            .expect("append");
+            j.append(JournalFrame::QuarantineKey { shard: 1, key: 11 })
+                .expect("append");
+            j.commit(sample_commit(2, 2, vec!["line2".into()]).view())
                 .expect("commit 2");
             // An open group that never commits: must vanish on recovery.
-            j.append(&JournalFrame::Del { shard: 0, key: 1 });
+            j.append(JournalFrame::Del { shard: 0, key: 1 })
+                .expect("append");
             // (dropped without commit)
         }
         let (_j, rec) = SupervisorJournal::open(&dir, 0, 0).expect("reopen");
@@ -840,21 +1067,23 @@ mod tests {
         let dir = temp_journal_dir("torn");
         {
             let (mut j, _) = SupervisorJournal::open(&dir, 0, 0).expect("open");
-            j.append(&JournalFrame::Put {
+            j.append(JournalFrame::Put {
                 shard: 0,
                 key: 1,
                 epoch: 1,
                 last_use: 5,
-            });
-            j.commit(sample_commit(1, 0, vec!["line0".into()]))
+            })
+            .expect("append");
+            j.commit(sample_commit(1, 0, vec!["line0".into()]).view())
                 .expect("commit 1");
-            j.append(&JournalFrame::Put {
+            j.append(JournalFrame::Put {
                 shard: 0,
                 key: 2,
                 epoch: 1,
                 last_use: 6,
-            });
-            j.commit(sample_commit(2, 1, vec!["line1".into()]))
+            })
+            .expect("append");
+            j.commit(sample_commit(2, 1, vec!["line1".into()]).view())
                 .expect("commit 2");
         }
         // Reopen once: recovery folds the WAL and the post-recovery
@@ -871,10 +1100,15 @@ mod tests {
                 epoch: 1,
                 last_use: 7,
             }
-            .encode(),
+            .encode()
+            .expect("encode"),
         );
         let group_start = bytes.len();
-        bytes.extend_from_slice(&JournalFrame::Commit(sample_commit(3, 2, vec![])).encode());
+        bytes.extend_from_slice(
+            &JournalFrame::Commit(sample_commit(3, 2, vec![]))
+                .encode()
+                .expect("encode"),
+        );
         for cut in group_start..bytes.len() {
             std::fs::write(&wal, &bytes[..cut]).expect("write torn wal");
             let (_j, rec) = SupervisorJournal::open(&dir, 0, 0).expect("recover never fails");
@@ -901,18 +1135,15 @@ mod tests {
             // snapshot_every = 1: compact after every commit.
             let (mut j, _) = SupervisorJournal::open(&dir, 1, 1).expect("open");
             for cycle in 1..=4u64 {
-                j.append(&JournalFrame::Put {
+                j.append(JournalFrame::Put {
                     shard: 0,
                     key: cycle,
                     epoch: 1,
                     last_use: cycle,
-                });
-                j.commit(sample_commit(
-                    cycle,
-                    cycle - 1,
-                    vec![format!("line{cycle}")],
-                ))
-                .expect("commit");
+                })
+                .expect("append");
+                j.commit(sample_commit(cycle, cycle - 1, vec![format!("line{cycle}")]).view())
+                    .expect("commit");
             }
             assert!(j.stats().snapshots >= 4);
             assert!(j.stats().syncs >= 4);

@@ -28,7 +28,7 @@
 //!   the cycle barrier is enforced only at integration time, which is
 //!   all run-cycle needs for byte-identity.
 
-use super::journal::{CommitRecord, JournalFrame, ShardHealth, SupervisorJournal};
+use super::journal::{CommitView, JournalFrame, ShardHealth, SupervisorJournal};
 use super::monitor::{Liveness, LivenessMonitor};
 use super::wire::{Frame, Hello, RecoverReport, Sabotage, WireJob, WorkerStoreStats, WORKER_ARG};
 use crate::faults::ShardFaultPlan;
@@ -297,6 +297,9 @@ pub struct SuperviseStats {
     pub journal_frames_recovered: u64,
     /// Journal bytes discarded as torn (uncommitted) tails on recovery.
     pub journal_torn_bytes: u64,
+    /// Resume checkpoints refused as corrupt for the trace they were
+    /// given (see [`ShardSupervisor::serve_trace_journaled`]).
+    pub resumes_rejected: u64,
 }
 
 /// What a reader thread forwards. Heartbeats are not forwarded — they
@@ -463,11 +466,15 @@ impl Inner {
         now_ms(self.t0)
     }
 
-    /// Buffer one journal frame (a no-op when unjournaled). Appends are
-    /// infallible; durability happens at the cycle commit.
+    /// Buffer one journal frame (a no-op when unjournaled); durability
+    /// happens at the cycle commit. A frame the codec refuses degrades
+    /// the run to unjournaled, like any journal failure.
     fn journal_append(&mut self, frame: JournalFrame) {
         if let Some(j) = self.journal.as_mut() {
-            j.append(&frame);
+            if j.append(frame).is_err() {
+                self.stats.journal_failures += 1;
+                self.journal = None;
+            }
         }
     }
 
@@ -736,7 +743,14 @@ impl Inner {
         let seq = self.children[si].seq;
         let frame = build(seq);
         let recency = matches!(frame, Frame::Touch { .. });
-        let bytes = frame.encode();
+        let Ok(bytes) = frame.encode() else {
+            // Too large for the codec: the frame can never be sent, so the
+            // shard never sees it — a mirror breach the Get path degrades
+            // to a miss. The seq is not consumed.
+            self.children[si].seq -= 1;
+            self.stats.transport_errors += 1;
+            return None;
+        };
         self.children[si]
             .unacked
             .push_back((seq, bytes.clone(), recency));
@@ -1122,6 +1136,12 @@ impl Inner {
                 jobs: wire_jobs,
             }
             .encode();
+            let Ok(frame) = frame else {
+                // Unsendable batch: answer it like a dark shard's.
+                self.stats.transport_errors += 1;
+                self.fallback_answers(deco, group, &mut scratch, &mut merged);
+                continue;
+            };
             pending[si] = Some(PendingGroup {
                 jobs: group,
                 frame,
@@ -1208,7 +1228,9 @@ impl Inner {
         if !self.children[si].live() {
             return;
         }
-        let bytes = Frame::CycleBarrier { cycle }.encode();
+        let bytes = Frame::CycleBarrier { cycle }
+            .encode()
+            .expect("a barrier frame is a few bytes");
         if self.write_raw(si, &bytes).is_err() {
             self.crash_and_revive(si, true);
         }
@@ -1755,6 +1777,12 @@ impl ShardSupervisor {
     /// caller only after the journal can prove it, so a standby
     /// re-emitting every journaled line past the caller's high-water
     /// mark closes the crash window without gaps or duplicates.
+    ///
+    /// `resume` must come from a run of the same `trace`: its queue and
+    /// retries are trace seqs. A checkpoint that fails
+    /// [`ServeCheckpoint::validate`] against `trace` is corrupt; the run
+    /// serves nothing and returns `(vec![], ServeStats::default(), true)`
+    /// — halted — with [`SuperviseStats::resumes_rejected`] counted.
     pub fn serve_trace_journaled(
         &mut self,
         trace: &ArrivalTrace,
@@ -1772,6 +1800,14 @@ impl ShardSupervisor {
         // cycle the checkpoint covers; the crash schedule must count
         // completed cycles from there, not from zero.
         let committed_cycles = resume.as_ref().map(|ck| ck.stats.cycles).unwrap_or(0);
+        {
+            // This run's first commit carries its full waits; later ones
+            // are deltas against it.
+            let inner = self.inner_mut();
+            if let Some(j) = inner.journal.as_mut() {
+                j.rebase();
+            }
+        }
         let mut run = JournaledRun {
             sup: self,
             emit,
@@ -1779,16 +1815,19 @@ impl ShardSupervisor {
             committed_cycles,
             halted: false,
         };
-        let (responses, stats) =
-            serve_trace_resumable(&mut run, trace, workers, &session.serve, resume);
+        let result = serve_trace_resumable(&mut run, trace, workers, &session.serve, resume);
         let halted = run.halted;
         drop(run);
-        {
-            let inner = self.inner_mut();
-            inner.fault_plan = ShardFaultPlan::quiescent();
-            inner.chaos_kills = ShardFaultPlan::quiescent();
+        let inner = self.inner_mut();
+        inner.fault_plan = ShardFaultPlan::quiescent();
+        inner.chaos_kills = ShardFaultPlan::quiescent();
+        match result {
+            Ok((responses, stats)) => (responses, stats, halted),
+            Err(_) => {
+                inner.stats.resumes_rejected += 1;
+                (Vec::new(), ServeStats::default(), true)
+            }
         }
-        (responses, stats, halted)
     }
 }
 
@@ -2007,20 +2046,23 @@ impl ServeBackend for JournaledRun<'_> {
         {
             let inner = self.sup.inner_mut();
             if inner.journal.is_some() {
-                let rec = CommitRecord {
+                let shard_seqs: Vec<u64> = inner.children.iter().map(|c| c.seq).collect();
+                let shard_health: Vec<ShardHealth> = inner
+                    .children
+                    .iter()
+                    .map(|c| ShardHealth {
+                        strikes: c.monitor.strikes(),
+                        quarantined: c.monitor.state() == Liveness::Quarantined,
+                    })
+                    .collect();
+                let lines: Vec<String> = new_responses.iter().map(|r| r.canonical_line()).collect();
+                let rec = CommitView {
                     cycle: inner.cycle,
                     clock: inner.clock,
-                    shard_seqs: inner.children.iter().map(|c| c.seq).collect(),
-                    shard_health: inner
-                        .children
-                        .iter()
-                        .map(|c| ShardHealth {
-                            strikes: c.monitor.strikes(),
-                            quarantined: c.monitor.state() == Liveness::Quarantined,
-                        })
-                        .collect(),
-                    serve: checkpoint.clone(),
-                    lines: new_responses.iter().map(|r| r.canonical_line()).collect(),
+                    shard_seqs: &shard_seqs,
+                    shard_health: &shard_health,
+                    serve: checkpoint,
+                    lines: &lines,
                 };
                 let failed = match inner.journal.as_mut() {
                     Some(j) => j.commit(rec).is_err(),

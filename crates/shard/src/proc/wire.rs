@@ -651,15 +651,18 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Serialize the full wire frame (length, body, checksum).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize the full wire frame (length, body, checksum). A body
+    /// over the codec's cap is `InvalidData` — the same verdict the peer's
+    /// reader would reach — so the sender takes its transport-error path.
+    pub fn encode(&self) -> std::io::Result<Vec<u8>> {
         encode_frame(&self.encode_body())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Write the frame and flush — a frame on a pipe is only useful once
     /// the peer can see all of it.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        w.write_all(&self.encode())?;
+        w.write_all(&self.encode()?)?;
         w.flush()
     }
 
@@ -893,7 +896,7 @@ mod tests {
         let e = Frame::decode_body(&body).expect_err("trailing");
         assert!(e.to_string().starts_with("transport error:"), "{e}");
         // A flipped checksum in the container is InvalidData at read time.
-        let mut wire = Frame::Heartbeat.encode();
+        let mut wire = Frame::Heartbeat.encode().expect("encode");
         let last = wire.len() - 1;
         wire[last] ^= 0xFF;
         let err = Frame::read_from(&mut Cursor::new(wire)).expect_err("checksum");

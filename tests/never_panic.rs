@@ -1,8 +1,9 @@
 //! Never-panic properties: arbitrary and mutated user input — WLog source
 //! text, DAX documents, and supervisor-journal bytes — must flow through
 //! parse → validate → plan (or WAL recovery) as typed [`DecoError`]s,
-//! never as panics. The CI fuzz-smoke step re-runs this suite at an
-//! elevated `PROPTEST_CASES` count.
+//! never as panics. Journal recovery must also never hand back a commit
+//! whose delta-concatenated `waits` are short. The CI fuzz-smoke step
+//! re-runs this suite at an elevated `PROPTEST_CASES` count.
 
 use deco::cloud::{CloudSpec, MetadataStore};
 use deco::engine::supervisor::plan_with_fallback;
@@ -129,6 +130,7 @@ fn seed_wal() -> Vec<u8> {
                 ShardHealth::default(),
             ],
             serve,
+            waits_base: 0,
             lines: vec![format!("line {cycle}")],
         })
     };
@@ -159,13 +161,78 @@ fn seed_wal() -> Vec<u8> {
         JournalFrame::Del { shard: 0, key: 7 },
         commit(2, 2),
     ];
-    frames.iter().flat_map(JournalFrame::encode).collect()
+    encode_all(&frames)
+}
+
+fn encode_all(frames: &[JournalFrame]) -> Vec<u8> {
+    frames
+        .iter()
+        .flat_map(|f| f.encode().expect("seed frames are small"))
+        .collect()
+}
+
+/// Waits sealed by each commit of [`delta_wal`]'s chain.
+const DELTA_WAITS: [u64; 4] = [2, 1, 3, 2];
+
+/// A four-commit supervisor WAL whose commits carry delta `waits`: the
+/// first is full (base 0), each later one extends its predecessor. Every
+/// commit's `stats.planned` is the full count the fold must rebuild, so
+/// a short recovered `waits` is detectable. With `bad_at = Some(i)`,
+/// commit `i` claims a base past its predecessor's count.
+fn delta_wal(bad_at: Option<usize>) -> Vec<u8> {
+    let mut frames = Vec::new();
+    let mut base = 0u64;
+    for (i, &new) in DELTA_WAITS.iter().enumerate() {
+        let cycle = i as u64 + 1;
+        frames.push(JournalFrame::Put {
+            shard: 0,
+            key: cycle,
+            epoch: 1,
+            last_use: cycle,
+        });
+        let mut serve = ServeCheckpoint {
+            emitted: cycle,
+            ..ServeCheckpoint::default()
+        };
+        serve.stats.waits = (base..base + new).map(|w| w as f64 * 1.5).collect();
+        serve.stats.planned = base + new;
+        let waits_base = if bad_at == Some(i) {
+            base + 1 + i as u64
+        } else {
+            base
+        };
+        frames.push(JournalFrame::Commit(CommitRecord {
+            cycle,
+            clock: 10 * cycle,
+            shard_seqs: vec![cycle],
+            shard_health: vec![ShardHealth::default()],
+            serve,
+            waits_base,
+            lines: vec![format!("line {cycle}")],
+        }));
+        base += new;
+    }
+    encode_all(&frames)
+}
+
+/// [`drive_journal`] for delta WALs: whatever commit survives must hold
+/// every wait its chain sealed — never a silently short vector.
+fn drive_delta_journal(wal: &[u8]) -> Option<CommitRecord> {
+    let commit = drive_journal(wal, None)?;
+    assert_eq!(
+        commit.serve.stats.waits.len() as u64,
+        commit.serve.stats.planned,
+        "commit {} recovered a short waits vector",
+        commit.cycle
+    );
+    Some(commit)
 }
 
 /// Recover a journal directory holding exactly `wal` and (optionally)
 /// `snapshot`. Open may reject the directory, never panic; a recovered
-/// fold must not invent commits the bytes cannot contain.
-fn drive_journal(wal: &[u8], snapshot: Option<&[u8]>) {
+/// fold must not invent commits the bytes cannot contain. Returns the
+/// recovered commit, if any.
+fn drive_journal(wal: &[u8], snapshot: Option<&[u8]>) -> Option<CommitRecord> {
     static CASE: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "deco_np_journal_{}_{}",
@@ -177,7 +244,7 @@ fn drive_journal(wal: &[u8], snapshot: Option<&[u8]>) {
     if let Some(bytes) = snapshot {
         std::fs::write(dir.join(SNAPSHOT_FILE), bytes).expect("write snapshot");
     }
-    match SupervisorJournal::open(&dir, 0, 0) {
+    let commit = match SupervisorJournal::open(&dir, 0, 0) {
         Ok((_, rec)) => {
             // Whatever the fold kept must at least render and stay
             // internally consistent with the line accounting the serve
@@ -185,13 +252,17 @@ fn drive_journal(wal: &[u8], snapshot: Option<&[u8]>) {
             if let Some(commit) = &rec.commit {
                 let _ = format!("{commit:?}");
                 assert!(rec.lines_start <= commit.serve.emitted);
+                assert_eq!(commit.waits_base, 0, "a recovered commit is whole");
             }
+            rec.commit
         }
         Err(e) => {
             let _ = e.to_string();
+            None
         }
-    }
+    };
     let _ = std::fs::remove_dir_all(&dir);
+    commit
 }
 
 proptest! {
@@ -280,5 +351,63 @@ proptest! {
     ) {
         let wal = seed_wal();
         drive_journal(&wal[..cut % (wal.len() + 1)], Some(&snapshot));
+    }
+
+    /// Byte-level corruption of a multi-commit delta WAL never panics
+    /// recovery, and the surviving commit's `waits` are never short.
+    #[test]
+    fn mutated_delta_wals_never_panic_journal(
+        picks in proptest::collection::vec((0usize..65536, 0u8..3, 0u8..255), 1..6)
+    ) {
+        let mut wal = delta_wal(None);
+        for &(pos, op, byte) in &picks {
+            if wal.is_empty() {
+                break;
+            }
+            let i = pos % wal.len();
+            match op % 3 {
+                0 => wal[i] = byte,
+                1 => wal.insert(i, byte),
+                _ => {
+                    wal.remove(i);
+                }
+            }
+        }
+        drive_delta_journal(&wal);
+    }
+
+    /// Every truncation of a delta WAL recovers the last whole commit
+    /// before the cut, with all of its waits.
+    #[test]
+    fn truncated_delta_wals_never_panic_journal(cut in 0usize..65536) {
+        let wal = delta_wal(None);
+        drive_delta_journal(&wal[..cut % (wal.len() + 1)]);
+    }
+
+    /// A commit whose waits base exceeds its predecessor's count is a
+    /// detected corrupt frame: however the WAL is cut, recovery never
+    /// keeps a commit at or past it.
+    #[test]
+    fn truncated_bad_base_delta_wals_never_pass_the_bad_commit(
+        bad_at in 0usize..DELTA_WAITS.len(),
+        cut in 0usize..65536
+    ) {
+        let wal = delta_wal(Some(bad_at));
+        let commit = drive_delta_journal(&wal[..cut % (wal.len() + 1)]);
+        prop_assert!(commit.map_or(0, |c| c.cycle) <= bad_at as u64);
+    }
+}
+
+/// The whole bad-base WAL, for each position of the bad commit: recovery
+/// keeps state through exactly the previous sealed commit.
+#[test]
+fn a_delta_past_the_sealed_waits_keeps_the_previous_commit() {
+    for bad_at in 0..DELTA_WAITS.len() {
+        let commit = drive_delta_journal(&delta_wal(Some(bad_at)));
+        assert_eq!(
+            commit.map(|c| c.cycle),
+            (bad_at > 0).then_some(bad_at as u64),
+            "bad commit at index {bad_at}"
+        );
     }
 }

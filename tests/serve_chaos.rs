@@ -18,17 +18,25 @@
 //!    the plan cache.
 //! 5. **Pinned backoff** — crash retries follow the shared
 //!    `capped_backoff` tick sequence end-to-end.
+//! 6. **Resumable mid-overload** — a cycle-commit checkpoint taken with
+//!    a non-empty queue and a backing-off retry resumes to the
+//!    uninterrupted run's bytes, and a checkpoint that does not fit the
+//!    trace is refused before the loop starts.
 
 use deco::cloud::{CloudSpec, MetadataStore, RetryConfig};
 use deco::engine::estimate::deadline_anchors;
-use deco::engine::Deco;
+use deco::engine::supervisor::SupervisedPlan;
+use deco::engine::{Deco, DecoError};
 use deco::serve::{
-    Arrival, ArrivalTrace, CalibrationRefresh, PlanRequest, PlanServer, Priority, ServeConfig,
-    ServeOutcome, ServeSession, WorkerFaultPlan,
+    serve_trace_resumable, Arrival, ArrivalTrace, CalibrationRefresh, PlanRequest, PlanResponse,
+    PlanServer, Priority, ServeBackend, ServeCheckpoint, ServeConfig, ServeOutcome, ServeSession,
+    SolveJob, WorkerFaultPlan,
 };
+use deco::solver::SearchBudget;
 use deco::workflow::generators;
 use deco::workflow::Workflow;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn small_deco() -> Deco {
     let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 20);
@@ -419,4 +427,139 @@ fn crash_retries_follow_the_shared_capped_backoff_sequence() {
     );
     assert!(matches!(responses[0].outcome, ServeOutcome::Planned(_)));
     assert!(responses[0].canonical_line().contains("source=retried"));
+}
+
+/// A [`PlanServer`] that opts into cycle commits: each checkpoint goes
+/// through the codec, and the run halts at the first commit `halt_at`
+/// accepts, keeping that (decoded) checkpoint.
+struct HaltingServer<'a> {
+    server: &'a mut PlanServer,
+    halt_at: fn(&ServeCheckpoint) -> bool,
+    taken: Option<ServeCheckpoint>,
+}
+
+impl ServeBackend for HaltingServer<'_> {
+    fn deco(&self) -> &Deco {
+        self.server.deco()
+    }
+    fn config(&self) -> &ServeConfig {
+        ServeBackend::config(&*self.server)
+    }
+    fn cache_get(&mut self, key: u64) -> Option<SupervisedPlan> {
+        self.server.cache_get(key)
+    }
+    fn cache_insert(&mut self, key: u64, plan: &SupervisedPlan, epoch: u64) -> usize {
+        self.server.cache_insert(key, plan, epoch)
+    }
+    fn cache_purge_stale(&mut self, epoch: u64) -> usize {
+        self.server.cache_purge_stale(epoch)
+    }
+    fn is_key_quarantined(&self, key: u64) -> bool {
+        self.server.is_key_quarantined(key)
+    }
+    fn strike_count(&self, key: u64) -> Option<u32> {
+        self.server.strike_count(key)
+    }
+    fn add_strike(&mut self, key: u64) -> u32 {
+        self.server.add_strike(key)
+    }
+    fn quarantine_key(&mut self, key: u64) {
+        self.server.quarantine_key(key)
+    }
+    fn clear_strikes(&mut self, key: u64) {
+        self.server.clear_strikes(key)
+    }
+    fn solve_jobs(
+        &self,
+        jobs: Vec<SolveJob>,
+        workers: usize,
+    ) -> BTreeMap<u64, (SearchBudget, Result<SupervisedPlan, DecoError>)> {
+        self.server.solve_jobs(jobs, workers)
+    }
+    fn refresh_calibration(&mut self, store: MetadataStore) -> (u64, usize) {
+        ServeBackend::refresh_calibration(&mut *self.server, store)
+    }
+    fn wants_commits(&self) -> bool {
+        true
+    }
+    fn commit_cycle(&mut self, checkpoint: &ServeCheckpoint, _: &[PlanResponse]) -> bool {
+        if self.taken.is_some() || !(self.halt_at)(checkpoint) {
+            return true;
+        }
+        let decoded = ServeCheckpoint::decode(&checkpoint.encode()).expect("round trip");
+        self.taken = Some(decoded);
+        false
+    }
+}
+
+#[test]
+fn a_checkpoint_taken_mid_overload_resumes_byte_identically() {
+    // Twelve simultaneous arrivals into an 8-slot queue drained two at a
+    // time, every solve crashing until it escalates: the first cycle's
+    // two equal-key requests coalesce onto one solve that crashes and
+    // backs off, with six requests still queued behind it.
+    let config = ServeConfig {
+        queue_capacity: 8,
+        batch_size: 2,
+        ..chaos_config()
+    };
+    let session = ServeSession {
+        faults: WorkerFaultPlan::crashes(7, 1.0),
+        refreshes: Vec::new(),
+    };
+    let spec = small_deco().store.spec.clone();
+    let shapes = [generators::montage(1, 50), generators::pipeline(3, 40.0, 7)];
+    let trace = ArrivalTrace::new(
+        (0..12u32)
+            .map(|i| Arrival {
+                at_tick: 0.0,
+                request: request_for(shapes[(i / 4) as usize % 2].clone(), i % 3, &spec),
+            })
+            .collect(),
+    );
+    let lines = |rs: &[PlanResponse]| -> Vec<String> {
+        let mut rs = rs.to_vec();
+        rs.sort_by_key(|r| r.seq);
+        rs.iter().map(PlanResponse::canonical_line).collect()
+    };
+
+    let mut reference = PlanServer::new(small_deco(), config.clone());
+    let (ref_responses, ref_stats) = reference.serve_trace_session(&trace, 1, &session);
+    assert_eq!(ref_responses.len(), trace.len());
+    assert!(ref_stats.rejected_overload > 0, "the queue overflows");
+
+    let mut server = PlanServer::new(small_deco(), config);
+    let mut halting = HaltingServer {
+        server: &mut server,
+        halt_at: |ck| {
+            !ck.queue.is_empty()
+                && ck
+                    .retries
+                    .iter()
+                    .any(|p| p.waiters.len() >= 2 && p.not_before > ck.now)
+        },
+        taken: None,
+    };
+    let (before, _) =
+        serve_trace_resumable(&mut halting, &trace, 1, &session, None).expect("fresh run");
+    let ck = halting
+        .taken
+        .expect("a commit with a queue and a coalesced backing-off retry");
+    assert_eq!(ck.emitted, before.len() as u64);
+
+    // The same checkpoint against a trace it does not fit is refused
+    // before anything is served: a seq at or past the shorter trace's
+    // end, or a cursor past it.
+    let short = ArrivalTrace::new(trace.arrivals()[..ck.next as usize - 1].to_vec());
+    assert!(serve_trace_resumable(&mut server, &short, 2, &session, Some(ck.clone())).is_err());
+    let mut past_cursor = ck.clone();
+    past_cursor.queue.push(past_cursor.next);
+    assert!(serve_trace_resumable(&mut server, &trace, 2, &session, Some(past_cursor)).is_err());
+
+    let (after, stats) =
+        serve_trace_resumable(&mut server, &trace, 2, &session, Some(ck)).expect("resume");
+    let mut spliced = before;
+    spliced.extend(after);
+    assert_eq!(lines(&spliced), lines(&ref_responses));
+    assert_eq!(stats.digest(), ref_stats.digest());
 }
