@@ -1,7 +1,10 @@
-//! Single-state Monte-Carlo evaluation throughput: the reference
-//! Algorithm 1 loop (`mc_evaluate_plan_reference`, fresh topological sort
-//! and O(bins) linear-scan sampling per realization) against the compiled
-//! fast path (`CompiledPlan` + reusable `EvalScratch`).
+//! Monte-Carlo evaluation throughput: the reference Algorithm 1 loop
+//! (`mc_evaluate_plan_reference`, fresh topological sort and O(bins)
+//! linear-scan sampling per realization) against the compiled frontier
+//! kernel, both as the K=1 single-state path (`mc_evaluate_plan_scratch`:
+//! a skeleton in the plan's own dispatch order, one candidate column, a
+//! reusable `EvalScratch`) and as K-candidate batches over one shared
+//! skeleton.
 //!
 //! Beyond the criterion output, the bench writes `BENCH_mc_eval.json` at
 //! the repository root with the measured medians and speedups so future
@@ -10,8 +13,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deco_cloud::{CloudSpec, MetadataStore, Plan};
 use deco_core::estimate::{
-    mc_evaluate_plan_reference, mc_evaluate_plan_scratch, CompiledFrontier, CompiledPlan,
-    EvalScratch, ExecTimeTable, FrontierScratch, FrontierSkeleton,
+    mc_evaluate_plan_reference, mc_evaluate_plan_scratch, CompiledFrontier, EvalScratch,
+    ExecTimeTable, FrontierSkeleton,
 };
 use deco_workflow::generators;
 use deco_workflow::Workflow;
@@ -68,31 +71,50 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// Median seconds per call over `samples` timed samples, each sized to a
-/// wall-clock budget estimated from one untimed warm-up call.
-fn median_secs(mut f: impl FnMut(), samples: usize, budget: Duration) -> f64 {
-    let t = Instant::now();
-    f();
-    let once = t.elapsed().as_secs_f64().max(1e-9);
-    let per_sample = ((budget.as_secs_f64() / samples as f64 / once).floor() as u64).max(1);
-    let mut medians: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..per_sample {
-                f();
-            }
-            t.elapsed().as_secs_f64() / per_sample as f64
-        })
-        .collect();
-    medians.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    medians[medians.len() / 2]
+/// Interleaved A/B timing: `samples` timed samples of `a` alternate with
+/// `samples` of `b`, each sized to a wall-clock budget estimated from one
+/// untimed warm-up call, so load drift on a shared machine hits both sides
+/// alike. Returns the median seconds per call of each side and the median
+/// of the per-pair ratios `a / b`.
+fn paired_medians(
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+    samples: usize,
+    budget: Duration,
+) -> (f64, f64, f64) {
+    let per_sample = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        let once = t.elapsed().as_secs_f64().max(1e-9);
+        ((budget.as_secs_f64() / samples as f64 / once).floor() as u64).max(1)
+    };
+    let (na, nb) = (per_sample(&mut a), per_sample(&mut b));
+    let time = |f: &mut dyn FnMut(), n: u64| {
+        let t = Instant::now();
+        for _ in 0..n {
+            f();
+        }
+        t.elapsed().as_secs_f64() / n as f64
+    };
+    let (mut ta, mut tb, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..samples {
+        let (x, y) = (time(&mut a, na), time(&mut b, nb));
+        ta.push(x);
+        tb.push(y);
+        ratio.push(x / y);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|p, q| p.total_cmp(q));
+        v[v.len() / 2]
+    };
+    (median(ta), median(tb), median(ratio))
 }
 
 fn mc_eval(c: &mut Criterion) {
     // Quick mode (CI): skip the criterion groups and the reference
-    // medians, measure only the per-plan vs batched-frontier comparison
-    // with small budgets, and fail if the frontier path is ever slower
-    // than evaluating the same candidates one compiled plan at a time.
+    // medians, measure only the K=1 vs batched-frontier comparison with
+    // small budgets, and fail if the frontier path is ever slower than
+    // evaluating the same candidates one K=1 call at a time.
     let quick = std::env::var("MC_EVAL_QUICK").is_ok();
     let spec = CloudSpec::amazon_ec2();
     let store = MetadataStore::from_ground_truth(spec.clone(), 30);
@@ -121,13 +143,12 @@ fn mc_eval(c: &mut Criterion) {
             SEED,
             &mut scratch,
         );
-        assert_eq!(a, b, "{}: compiled path diverged from reference", case.name);
+        assert_eq!(a, b, "{}: K=1 path diverged from reference", case.name);
 
-        // ---- Batched frontier vs per-plan compiled evaluation ----
+        // ---- Batched frontier vs K=1 evaluation ----
         let skel = FrontierSkeleton::build(wf, &table);
-        let mut fscratch = FrontierScratch::new();
         let (budget, samples) = if quick {
-            (Duration::from_millis(250), 3)
+            (Duration::from_millis(250), 7)
         } else {
             (Duration::from_millis(1500), 7)
         };
@@ -138,8 +159,8 @@ fn mc_eval(c: &mut Criterion) {
             let frontier =
                 CompiledFrontier::compile(&skel, &spec, &plans).expect("packer plans conform");
 
-            // Sanity: bit-identical to the per-plan compiled path.
-            let batched = frontier.evaluate(deadline, 0.9, 64, &seeds, &mut fscratch);
+            // Sanity: bit-identical to the K=1 path.
+            let batched = frontier.evaluate(deadline, 0.9, 64, &seeds, &mut scratch);
             for (i, (p, s)) in plans.iter().zip(&seeds).enumerate() {
                 let one = mc_evaluate_plan_scratch(
                     wf,
@@ -154,12 +175,13 @@ fn mc_eval(c: &mut Criterion) {
                 );
                 assert_eq!(
                     one, batched[i],
-                    "{} k={k}: frontier diverged from per-plan at candidate {i}",
+                    "{} k={k}: frontier diverged from K=1 at candidate {i}",
                     case.name
                 );
             }
 
-            let per_plan_s = median_secs(
+            let mut fscratch = EvalScratch::new();
+            let (k1_s, frontier_s, speedup) = paired_medians(
                 || {
                     for (p, s) in plans.iter().zip(&seeds) {
                         black_box(mc_evaluate_plan_scratch(
@@ -175,10 +197,6 @@ fn mc_eval(c: &mut Criterion) {
                         ));
                     }
                 },
-                samples,
-                budget,
-            );
-            let frontier_s = median_secs(
                 || {
                     let f = CompiledFrontier::compile(&skel, &spec, &plans)
                         .expect("packer plans conform");
@@ -187,30 +205,29 @@ fn mc_eval(c: &mut Criterion) {
                 samples,
                 budget,
             );
-            let speedup = per_plan_s / frontier_s;
             println!(
-                "mc_eval {:<12} k={:<4} per_plan {:>10.1} us/cand  frontier {:>10.1} us/cand  speedup {:.2}x",
+                "mc_eval {:<12} k={:<4} k1 {:>10.1} us/cand  frontier {:>10.1} us/cand  speedup {:.2}x",
                 case.name,
                 k,
-                per_plan_s / k as f64 * 1e6,
+                k1_s / k as f64 * 1e6,
                 frontier_s / k as f64 * 1e6,
                 speedup
             );
             frontier_rows.push(format!(
                 "    {{\"name\": \"{}\", \"tasks\": {}, \"k\": {}, \"mc_iters\": {}, \
-                 \"per_plan_us_per_cand\": {:.3}, \"frontier_us_per_cand\": {:.3}, \"speedup\": {:.3}}}",
+                 \"k1_us_per_cand\": {:.3}, \"frontier_us_per_cand\": {:.3}, \"speedup\": {:.3}}}",
                 case.name,
                 wf.len(),
                 k,
                 MC_ITERS,
-                per_plan_s / k as f64 * 1e6,
+                k1_s / k as f64 * 1e6,
                 frontier_s / k as f64 * 1e6,
                 speedup
             ));
             if quick {
                 assert!(
                     speedup >= 1.0,
-                    "{} k={k}: batched frontier slower than per-plan ({speedup:.2}x)",
+                    "{} k={k}: batched frontier slower than K=1 ({speedup:.2}x)",
                     case.name
                 );
             }
@@ -255,22 +272,22 @@ fn mc_eval(c: &mut Criterion) {
             })
         });
         group.bench_function("compile_only", |bch| {
-            bch.iter(|| CompiledPlan::compile(wf, &plan, &table, &spec))
+            bch.iter(|| {
+                let own = FrontierSkeleton::for_plan(wf, &table, &plan);
+                black_box(
+                    CompiledFrontier::compile(&own, &spec, std::slice::from_ref(&plan)).is_some(),
+                )
+            })
         });
         group.finish();
 
         // Independent medians for the JSON record.
-        let budget = Duration::from_millis(1500);
-        let ref_s = median_secs(
+        let (ref_s, fast_s, speedup) = paired_medians(
             || {
                 black_box(mc_evaluate_plan_reference(
                     wf, &plan, &table, &spec, deadline, 0.9, MC_ITERS, SEED,
                 ));
             },
-            7,
-            budget,
-        );
-        let fast_s = median_secs(
             || {
                 black_box(mc_evaluate_plan_scratch(
                     wf,
@@ -285,9 +302,8 @@ fn mc_eval(c: &mut Criterion) {
                 ));
             },
             7,
-            budget,
+            Duration::from_millis(1500),
         );
-        let speedup = ref_s / fast_s;
         println!(
             "mc_eval {:<12} tasks={:<5} slots={:<5} reference {:>10.1} us  compiled {:>10.1} us  speedup {:.2}x",
             case.name,
@@ -310,7 +326,7 @@ fn mc_eval(c: &mut Criterion) {
     }
 
     if quick {
-        println!("mc_eval quick mode: frontier >= per-plan on every case, skipping JSON");
+        println!("mc_eval quick mode: frontier >= K=1 on every case, skipping JSON");
         return;
     }
     let json = format!(

@@ -23,8 +23,8 @@ pub struct VmSlot {
 thread_local! {
     /// Calls to [`Plan::dispatch_order`] made by the current thread.
     /// Instrumentation for the compiled-evaluator regression tests, which
-    /// assert the topological sort runs once per compiled plan rather than
-    /// once per Monte-Carlo realization. Thread-local (not a process-wide
+    /// assert the topological sort runs once per plan-ordered skeleton
+    /// rather than once per Monte-Carlo realization. Thread-local (not a process-wide
     /// atomic) so concurrently running tests cannot perturb each other's
     /// counts; the cost on the hot path is one TLS cell bump per *plan*,
     /// which is noise.

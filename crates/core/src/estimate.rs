@@ -207,292 +207,6 @@ pub fn sampled_schedule(
     (makespan, cost.total())
 }
 
-/// A plan compiled for repeated Monte-Carlo realization: everything that
-/// does not depend on the sampled durations is hoisted out of the
-/// per-realization loop.
-///
-/// Per *plan* (once): the dispatch order (a full topological sort), the
-/// parent adjacency as a flat CSR array with each edge's constant transfer
-/// seconds baked in, the total cross-region traffic, per-slot prices, and
-/// a precomputed CDF sampler per task. Per *realization* (hot loop): one
-/// uniform draw + binary search per task, adds and maxes — no heap, no
-/// `dyn` dispatch, no allocation (buffers live in [`EvalScratch`]).
-///
-/// The arithmetic — addition order, max folds, the sampler's bin
-/// selection — exactly mirrors [`sampled_schedule`], so for the same RNG
-/// stream a compiled realization returns bit-for-bit the same
-/// `(makespan, cost)` as the reference. `estimate::tests` and
-/// `tests/properties.rs` enforce this.
-#[derive(Debug, Clone)]
-pub struct CompiledPlan {
-    n_tasks: usize,
-    n_slots: usize,
-    /// Tasks in dispatch order (`Plan::dispatch_order`, computed once).
-    order: Vec<u32>,
-    /// CSR row offsets into `parent_edges`, length `n_tasks + 1`, indexed
-    /// by task id.
-    parent_off: Vec<u32>,
-    /// `(parent task id, constant transfer seconds)` per dependency edge,
-    /// grouped by child task. Transfer time depends only on edge bytes and
-    /// the slot pair, never on sampled durations, so it is a per-plan
-    /// constant.
-    parent_edges: Vec<(u32, f64)>,
-    /// `assign[task]` = slot index, as `u32`.
-    assign: Vec<u32>,
-    /// CSR row offsets into `samp_cum`, length `n_tasks + 1`, indexed by
-    /// task id.
-    samp_off: Vec<u32>,
-    /// Every task's duration-histogram CDF (inclusive prefix sums, the
-    /// exact bits a [`BinSampler`] would hold — except each row's last
-    /// entry, which is rewritten to `+∞` so the count of entries `< u`
-    /// lands on the last bin by itself, exactly reproducing the clamped
-    /// `partition_point`), flattened into one contiguous array: the hot
-    /// loop walks a single allocation instead of chasing a per-task `Vec`
-    /// through the cache.
-    samp_cum: Vec<f64>,
-    /// `(lo, width)` bin geometry per task.
-    samp_geom: Vec<(f64, f64)>,
-    /// Hourly price of each slot (type × region resolved once).
-    slot_price: Vec<f64>,
-    billing_quantum: f64,
-    /// Total inter-region bytes — constant across realizations.
-    cross_bytes: f64,
-    inter_region_price_per_gb: f64,
-}
-
-/// Reusable buffers for [`CompiledPlan`] realizations. One scratch per
-/// worker thread makes the steady-state evaluation loop allocation-free;
-/// buffers grow to the largest (tasks, slots, iters) seen and are reused.
-#[derive(Debug, Clone, Default)]
-pub struct EvalScratch {
-    /// Finish time per task.
-    finish: Vec<f64>,
-    /// Next free time per slot.
-    slot_free: Vec<f64>,
-    /// `(first start, last finish)` per slot; `(INFINITY, NEG_INFINITY)`
-    /// marks an unused slot (equivalent to the reference's `None`).
-    slot_span: Vec<(f64, f64)>,
-    /// Sampled task durations of the current realization, indexed by
-    /// dispatch-order position.
-    durs: Vec<f64>,
-    /// Sampled makespans across the realizations of one evaluation.
-    makespans: Vec<f64>,
-    /// Buffers of the batched frontier evaluator ([`CompiledFrontier`]),
-    /// carried here so search workers thread one scratch through both the
-    /// per-plan and the frontier path.
-    pub(crate) frontier: FrontierScratch,
-}
-
-impl EvalScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn reset(&mut self, n_tasks: usize, n_slots: usize) {
-        // `finish` and `durs` need the right length but no refill: every
-        // entry is written before it is read (parents precede children in
-        // dispatch order; the sampling pass fills `durs` first).
-        self.finish.resize(n_tasks, 0.0);
-        self.durs.resize(n_tasks, 0.0);
-        self.slot_free.clear();
-        self.slot_free.resize(n_slots, 0.0);
-        self.slot_span.clear();
-        self.slot_span
-            .resize(n_slots, (f64::INFINITY, f64::NEG_INFINITY));
-    }
-}
-
-impl CompiledPlan {
-    /// Hoist every realization-invariant quantity out of `plan`. Costs one
-    /// topological sort plus O(tasks + edges + bins) — amortized over all
-    /// `iters` realizations of the state evaluation.
-    pub fn compile(wf: &Workflow, plan: &Plan, table: &ExecTimeTable, spec: &CloudSpec) -> Self {
-        let n_tasks = wf.len();
-        let n_slots = plan.slots.len();
-        let order: Vec<u32> = plan.dispatch_order(wf).into_iter().map(|t| t.0).collect();
-
-        let mut parent_off = Vec::with_capacity(n_tasks + 1);
-        let mut parent_edges = Vec::new();
-        let mut cross_bytes = 0.0f64;
-        // Iterate tasks in *dispatch order* so `cross_bytes` accumulates in
-        // exactly the order the reference evaluator adds it (f64 addition
-        // is not associative; same order → same bits). The CSR is indexed
-        // by task id, so rows are filled id-ordered below.
-        let mut edges_by_task: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_tasks];
-        for &raw in &order {
-            let t = deco_workflow::TaskId(raw);
-            let my_slot = plan.assign[t.index()];
-            for p in wf.parents(t) {
-                let p_slot = plan.assign[p.index()];
-                let mut transfer = 0.0;
-                if p_slot != my_slot {
-                    let bytes = wf.edge_bytes(p, t).unwrap_or(0.0);
-                    let from = plan.slots[p_slot];
-                    let to = plan.slots[my_slot];
-                    if from.region != to.region {
-                        transfer = deco_cloud::dynamics::phase_seconds_mean(
-                            bytes,
-                            &spec.cross_region_net(),
-                        );
-                        cross_bytes += bytes;
-                    } else {
-                        transfer = deco_cloud::dynamics::phase_seconds_mean(
-                            bytes,
-                            &spec.pair_net(from.itype, to.itype),
-                        );
-                    }
-                }
-                edges_by_task[t.index()].push((p.0, transfer));
-            }
-        }
-        parent_off.push(0u32);
-        for row in &edges_by_task {
-            parent_edges.extend_from_slice(row);
-            parent_off.push(parent_edges.len() as u32);
-        }
-
-        let mut samp_off = Vec::with_capacity(n_tasks + 1);
-        let mut samp_cum = Vec::new();
-        let mut samp_geom = Vec::with_capacity(n_tasks);
-        samp_off.push(0u32);
-        for t in 0..n_tasks {
-            let s: BinSampler = table.hist(t, plan.slots[plan.assign[t]].itype).sampler();
-            samp_cum.extend_from_slice(s.cum());
-            // `index_for` clamps to the last bin when `u` exceeds the total
-            // mass; an infinite last entry folds that clamp into the count
-            // itself (`∞ < u` is never true, and once every finite entry is
-            // below `u` the count is already len - 1).
-            *samp_cum.last_mut().expect("histogram has at least one bin") = f64::INFINITY;
-            samp_geom.push((s.lo(), s.width()));
-            samp_off.push(samp_cum.len() as u32);
-        }
-        let slot_price: Vec<f64> = plan
-            .slots
-            .iter()
-            .map(|s| spec.price(s.itype, s.region))
-            .collect();
-
-        CompiledPlan {
-            n_tasks,
-            n_slots,
-            order,
-            parent_off,
-            parent_edges,
-            assign: plan.assign.iter().map(|&s| s as u32).collect(),
-            samp_off,
-            samp_cum,
-            samp_geom,
-            slot_price,
-            billing_quantum: spec.billing_quantum,
-            cross_bytes,
-            inter_region_price_per_gb: spec.inter_region_price_per_gb,
-        }
-    }
-
-    pub fn n_tasks(&self) -> usize {
-        self.n_tasks
-    }
-
-    /// One Monte-Carlo realization — the compiled equivalent of
-    /// [`sampled_schedule`], allocation-free given a scratch.
-    pub fn realize(&self, scratch: &mut EvalScratch, rng: &mut DecoRng) -> (f64, f64) {
-        scratch.reset(self.n_tasks, self.n_slots);
-        let finish = &mut scratch.finish[..];
-        let slot_free = &mut scratch.slot_free[..];
-        let slot_span = &mut scratch.slot_span[..];
-
-        // Pass 1 — draw every task's duration, in dispatch order (one `u`
-        // per task: exactly the stream the reference consumes). Inlined
-        // `BinSampler::sample`: counting the CDF entries below `u` over a
-        // non-decreasing row equals the clamped `partition_point` (the
-        // row's last entry is `+∞`, see `compile`) — same bin, same center
-        // — but compiles branch-free, and keeping the draws in their own
-        // pass frees them from the schedule's dependency chain.
-        let durs = &mut scratch.durs[..];
-        for (i, &raw) in self.order.iter().enumerate() {
-            let t = raw as usize;
-            let u: f64 = rand::Rng::gen(rng);
-            let row = &self.samp_cum[self.samp_off[t] as usize..self.samp_off[t + 1] as usize];
-            let mut bin = 0usize;
-            for &c in row {
-                bin += (c < u) as usize;
-            }
-            let (blo, bw) = self.samp_geom[t];
-            durs[i] = (blo + (bin as f64 + 0.5) * bw).max(0.0);
-        }
-
-        // Pass 2 — the schedule itself.
-        let mut makespan = 0.0f64;
-        for (i, &raw) in self.order.iter().enumerate() {
-            let t = raw as usize;
-            let my_slot = self.assign[t] as usize;
-            let mut ready = 0.0f64;
-            let lo = self.parent_off[t] as usize;
-            let hi = self.parent_off[t + 1] as usize;
-            for &(p, transfer) in &self.parent_edges[lo..hi] {
-                ready = ready.max(finish[p as usize] + transfer);
-            }
-            let start = ready.max(slot_free[my_slot]);
-            let end = start + durs[i];
-            finish[t] = end;
-            slot_free[my_slot] = end;
-            let (a, b) = slot_span[my_slot];
-            slot_span[my_slot] = (a.min(start), b.max(end));
-            // `max` over non-negative floats is order-independent, so
-            // folding in dispatch order here gives the identical value to
-            // the reference's id-order pass over `finish`.
-            makespan = makespan.max(end);
-        }
-
-        let mut cost = deco_cloud::billing::CostLedger::default();
-        for (i, &(a, b)) in slot_span.iter().enumerate() {
-            if a <= b {
-                cost.add_instance(b - a, self.billing_quantum, self.slot_price[i]);
-            }
-        }
-        cost.add_transfer(self.cross_bytes, self.inter_region_price_per_gb);
-        (makespan, cost.total())
-    }
-
-    /// Monte-Carlo evaluation over `iters` realizations — Algorithm 1 on
-    /// the compiled fast path. Identical results to [`mc_evaluate_plan`]
-    /// for the same arguments and seed.
-    pub fn mc_evaluate(
-        &self,
-        spec_deadline: f64,
-        percentile: f64,
-        iters: usize,
-        seed: u64,
-        scratch: &mut EvalScratch,
-    ) -> McEval {
-        assert!(iters > 0);
-        let mut rng: DecoRng = split_indexed(seed, 0x65737431);
-        let mut hits = 0usize;
-        let mut cost_sum = 0.0;
-        scratch.makespans.clear();
-        for _ in 0..iters {
-            // `realize` borrows the other scratch buffers; `makespans`
-            // stays out of its way.
-            let mut makespans = std::mem::take(&mut scratch.makespans);
-            let (makespan, cost) = self.realize(scratch, &mut rng);
-            if makespan <= spec_deadline {
-                hits += 1;
-            }
-            cost_sum += cost;
-            makespans.push(makespan);
-            scratch.makespans = makespans;
-        }
-        McEval {
-            prob: hits as f64 / iters as f64,
-            mean_cost: cost_sum / iters as f64,
-            quantile_makespan: deco_prob::stats::quantile(
-                &scratch.makespans,
-                percentile.clamp(0.0, 1.0),
-            ),
-        }
-    }
-}
-
 /// Monte-Carlo evaluation of a plan over `iters` realizations (Algorithm 1
 /// with the typed evaluator).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -509,9 +223,10 @@ pub struct McEval {
 /// Monte-Carlo evaluation of a plan: deadline probability, mean cost and
 /// the `percentile`-quantile makespan.
 ///
-/// Compiles the plan once and runs the fast realization loop; callers that
-/// evaluate many states should hold an [`EvalScratch`] and use
-/// [`mc_evaluate_plan_scratch`] to also skip the per-call allocations.
+/// Runs the frontier kernel with K=1 over a skeleton in the plan's own
+/// dispatch order; callers that evaluate many states should hold an
+/// [`EvalScratch`] and use [`mc_evaluate_plan_scratch`] to also skip the
+/// per-call scratch allocations.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_evaluate_plan(
     wf: &Workflow,
@@ -537,9 +252,12 @@ pub fn mc_evaluate_plan(
     )
 }
 
-/// [`mc_evaluate_plan`] with caller-provided scratch buffers: the
-/// steady-state path for search loops (one scratch per worker thread,
-/// zero allocation per evaluated state beyond the compiled plan itself).
+/// [`mc_evaluate_plan`] with caller-provided scratch buffers (one scratch
+/// per worker thread). Builds [`FrontierSkeleton::for_plan`] — one
+/// topological sort — and evaluates the plan as a one-candidate
+/// [`CompiledFrontier`]. Callers holding a shared skeleton the plan
+/// [`FrontierSkeleton::conforms`] to skip that build by compiling against
+/// it directly.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_evaluate_plan_scratch(
     wf: &Workflow,
@@ -552,15 +270,17 @@ pub fn mc_evaluate_plan_scratch(
     seed: u64,
     scratch: &mut EvalScratch,
 ) -> McEval {
-    let compiled = CompiledPlan::compile(wf, plan, table, spec);
-    compiled.mc_evaluate(deadline, percentile, iters, seed, scratch)
+    let skel = FrontierSkeleton::for_plan(wf, table, plan);
+    CompiledFrontier::compile(&skel, spec, std::slice::from_ref(plan))
+        .expect("a plan conforms to its own skeleton")
+        .evaluate(deadline, percentile, iters, &[seed], scratch)[0]
 }
 
 /// The pre-compilation evaluator, retained as the executable spec of
 /// Algorithm 1: a fresh topological sort, per-edge transfer computation
 /// and O(bins) linear-scan sampling in every realization. The property
-/// tests pin [`CompiledPlan`] to this loop realization-for-realization;
-/// the `mc_eval` bench measures the speedup against it.
+/// tests pin [`CompiledFrontier`] to this loop field for field; the
+/// `mc_eval` bench measures the speedup against it.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_evaluate_plan_reference(
     wf: &Workflow,
@@ -603,24 +323,27 @@ pub fn mc_evaluate_plan_reference(
 pub const FRONTIER_LANES: usize = 8;
 
 /// The realization-invariant, *candidate-invariant* structure of one
-/// scheduling problem, compiled once per problem and shared by every
-/// frontier batch: the common dispatch order, the parent-edge CSR with raw
-/// payload bytes, and every per-(task, type) duration CDF flattened from
-/// the [`ExecTimeTable`].
+/// workflow's Monte-Carlo evaluation: a dispatch order, the parent-edge
+/// CSR with raw payload bytes, and every per-(task, type) duration CDF
+/// flattened from the [`ExecTimeTable`].
 ///
-/// Sharing is sound because the plan packers assign dispatch ranks in
-/// topological-order sequence, so every packed plan's
-/// [`Plan::dispatch_order`] equals the workflow's topological order —
-/// [`FrontierSkeleton::conforms`] verifies exactly that per candidate (an
-/// O(tasks) rank comparison), and non-conforming plans fall back to the
-/// per-plan path.
+/// [`FrontierSkeleton::build`] takes the workflow's topological order and
+/// is compiled once per scheduling problem, shared by every frontier
+/// batch: the plan packers assign dispatch ranks in topological-order
+/// sequence, so every packed plan's [`Plan::dispatch_order`] equals that
+/// order. [`FrontierSkeleton::for_plan`] takes one plan's own dispatch
+/// order, so every plan — whatever its ranks — conforms to its own
+/// skeleton. [`FrontierSkeleton::conforms`] checks a candidate against
+/// either kind (an O(tasks) rank comparison).
 #[derive(Debug, Clone)]
 pub struct FrontierSkeleton {
     n_tasks: usize,
     n_types: usize,
-    /// Tasks in the shared dispatch order (= topological order).
+    /// Tasks in dispatch order.
     order: Vec<u32>,
-    /// Expected dispatch rank per task id (its position in `order`).
+    /// The dispatch ranks a conforming plan carries, per task id: each
+    /// task's position in `order` for [`FrontierSkeleton::build`], the
+    /// plan's own ranks for [`FrontierSkeleton::for_plan`].
     ranks: Vec<u32>,
     /// CSR offsets into `epar`/`ebytes`, indexed by *dispatch position*
     /// (not task id — the hot loop walks positions).
@@ -636,7 +359,9 @@ pub struct FrontierSkeleton {
     cdf_off: Vec<u32>,
     /// Flattened per-(task, type) CDF rows — the exact bits of each
     /// [`BinSampler`]'s prefix sums, with every row's last entry rewritten
-    /// to `+∞` (same clamp-folding trick as [`CompiledPlan`]).
+    /// to `+∞`: `BinSampler::index_for` clamps to the last bin when `u`
+    /// exceeds the total mass, and an infinite last entry folds that clamp
+    /// into the count of entries `< u` itself.
     cum: Vec<f64>,
     /// `(lo, width)` bin geometry per (task, type) row.
     geom: Vec<(f64, f64)>,
@@ -648,12 +373,30 @@ impl FrontierSkeleton {
     /// amortized over every candidate of every frontier batch of the
     /// search.
     pub fn build(wf: &Workflow, table: &ExecTimeTable) -> Self {
+        let order = wf.topo_order().into_iter().map(|t| t.0).collect();
+        Self::from_order(wf, table, order, None)
+    }
+
+    /// A skeleton in `plan`'s own dispatch order (one topological sort),
+    /// which `plan` — and every plan with the same ranks — conforms to.
+    pub fn for_plan(wf: &Workflow, table: &ExecTimeTable, plan: &Plan) -> Self {
+        let order = plan.dispatch_order(wf).into_iter().map(|t| t.0).collect();
+        Self::from_order(wf, table, order, Some(plan.order.clone()))
+    }
+
+    /// Flatten over a given dispatch `order`; `ranks` defaults to each
+    /// task's position in it.
+    fn from_order(
+        wf: &Workflow,
+        table: &ExecTimeTable,
+        order: Vec<u32>,
+        ranks: Option<Vec<u32>>,
+    ) -> Self {
         let n_tasks = wf.len();
         let n_types = table.k();
-        let order: Vec<u32> = wf.topo_order().into_iter().map(|t| t.0).collect();
-        let mut ranks = vec![0u32; n_tasks];
-        for (pos, &raw) in order.iter().enumerate() {
-            ranks[raw as usize] = pos as u32;
+        let mut pos = vec![0u32; n_tasks];
+        for (i, &raw) in order.iter().enumerate() {
+            pos[raw as usize] = i as u32;
         }
         let mut eoff = Vec::with_capacity(n_tasks + 1);
         let mut epar = Vec::new();
@@ -662,7 +405,7 @@ impl FrontierSkeleton {
         for &raw in &order {
             let t = deco_workflow::TaskId(raw);
             for p in wf.parents(t) {
-                epar.push(ranks[p.0 as usize]);
+                epar.push(pos[p.index()]);
                 ebytes.push(wf.edge_bytes(p, t).unwrap_or(0.0));
             }
             eoff.push(epar.len() as u32);
@@ -684,7 +427,7 @@ impl FrontierSkeleton {
             n_tasks,
             n_types,
             order,
-            ranks,
+            ranks: ranks.unwrap_or(pos),
             eoff,
             epar,
             ebytes,
@@ -694,11 +437,13 @@ impl FrontierSkeleton {
         }
     }
 
-    /// Whether a plan's dispatch ranks match the shared skeleton order, so
-    /// its realizations can run over the skeleton bit-identically to its
-    /// own [`CompiledPlan`]. Distinct ranks equal to topological positions
-    /// make [`Plan::dispatch_order`] (Kahn + min-rank heap) pop tasks in
-    /// exactly topological order.
+    /// Whether a plan's dispatch ranks are the skeleton's, so its
+    /// [`Plan::dispatch_order`] — a function of the ranks and the workflow
+    /// alone — is the skeleton's order and its realizations run over the
+    /// skeleton bit-identically to [`sampled_schedule`]. For
+    /// [`FrontierSkeleton::build`], distinct ranks equal to topological
+    /// positions make the Kahn + min-rank heap pop tasks in exactly
+    /// topological order.
     pub fn conforms(&self, plan: &Plan) -> bool {
         plan.order == self.ranks
     }
@@ -739,8 +484,8 @@ struct FrontierColumn {
     /// unconditional routed store replaces a load + `min` + store per
     /// position.
     start_idx: Vec<u32>,
-    /// Constant transfer seconds per skeleton edge — the same per-plan
-    /// constant [`CompiledPlan`] bakes into its CSR.
+    /// Constant transfer seconds per skeleton edge: transfer time depends
+    /// only on edge bytes and the slot pair, never on sampled durations.
     transfer: Vec<f64>,
     /// Hourly price per slot.
     slot_price: Vec<f64>,
@@ -750,14 +495,18 @@ struct FrontierColumn {
 }
 
 /// K candidate plans compiled over one [`FrontierSkeleton`] for a single
-/// K×N-realization pass — the batched counterpart of [`CompiledPlan`].
+/// K×N-realization pass — the one compiled Monte-Carlo evaluator; a single
+/// plan is the K=1 case ([`mc_evaluate_plan_scratch`]).
 ///
-/// Per candidate the arithmetic (draw order, bin counts, max folds, cost
-/// ledger) exactly mirrors `CompiledPlan::compile` + `realize`, and each
-/// candidate consumes its own RNG stream seeded from its own per-state
-/// seed, so `evaluate` returns bit-for-bit the same [`McEval`]s as K
-/// independent [`mc_evaluate_plan_scratch`] calls — `tests/properties.rs`
-/// pins this.
+/// Everything that does not depend on the sampled durations is hoisted
+/// out of the realization loop: per candidate, its CDF rows, slots,
+/// transfer constants, prices and cross-region traffic. Per candidate the
+/// arithmetic (draw order, bin counts, max folds, cost ledger) exactly
+/// mirrors [`sampled_schedule`], and each candidate consumes its own RNG
+/// stream seeded from its own per-state seed, so `evaluate` returns
+/// bit-for-bit the same [`McEval`]s as K independent
+/// [`mc_evaluate_plan_reference`] calls — `estimate::tests` and
+/// `tests/properties.rs` pin this.
 #[derive(Debug, Clone)]
 pub struct CompiledFrontier<'s> {
     skel: &'s FrontierSkeleton,
@@ -766,12 +515,14 @@ pub struct CompiledFrontier<'s> {
     inter_region_price_per_gb: f64,
 }
 
-/// Reusable buffers for [`CompiledFrontier`] evaluations — one per worker
-/// thread, same discipline as [`EvalScratch`] (results never depend on
-/// prior contents). All per-realization state is lane-blocked: entry
-/// `x * FRONTIER_LANES + r` belongs to realization lane `r`.
+/// Reusable buffers for [`CompiledFrontier`] evaluations. One scratch per
+/// worker thread makes the steady-state evaluation loop allocation-free;
+/// buffers grow to the largest (tasks, slots, iters) seen and are reused,
+/// and results never depend on their prior contents. All per-realization
+/// state is lane-blocked: entry `x * FRONTIER_LANES + r` belongs to
+/// realization lane `r`.
 #[derive(Debug, Clone, Default)]
-pub struct FrontierScratch {
+pub struct EvalScratch {
     /// Drawn uniforms, `[position * LANES + lane]`, refilled per group.
     u: Vec<f64>,
     /// Finish time, `[position * LANES + lane]` (position space, so the
@@ -792,7 +543,7 @@ pub struct FrontierScratch {
     makespans: Vec<f64>,
 }
 
-impl FrontierScratch {
+impl EvalScratch {
     pub fn new() -> Self {
         Self::default()
     }
@@ -816,7 +567,7 @@ impl FrontierScratch {
 /// A `FRONTIER_LANES`-wide view into a lane-blocked scratch array. The
 /// bounds are debug-asserted here and guaranteed by the skeleton/column
 /// construction invariants at every call site (task ids `< n_tasks`, slot
-/// ids `< n_slots`, arrays sized by [`FrontierScratch::reset`]); skipping
+/// ids `< n_slots`, arrays sized by [`EvalScratch::reset`]); skipping
 /// the release-mode checks keeps the per-position loop branch-free.
 #[inline(always)]
 fn lanes(s: &[f64], at: usize) -> &[f64; FRONTIER_LANES] {
@@ -849,12 +600,12 @@ fn fmax(a: f64, b: f64) -> f64 {
 }
 
 impl<'s> CompiledFrontier<'s> {
-    /// Resolve `plans` into candidate columns over the skeleton. Returns
-    /// `None` when any plan does not [`FrontierSkeleton::conforms`] — the
-    /// caller then takes the per-plan path (bit-identical by contract).
-    /// Much cheaper than K [`CompiledPlan::compile`] calls: no topological
-    /// sort and no CDF copies, only O(tasks + edges) resolution per
-    /// candidate.
+    /// Resolve `plans` into candidate columns over the skeleton: no
+    /// topological sort, only O(tasks × bins + edges) resolution per
+    /// candidate. Returns `None` when any plan does not
+    /// [`FrontierSkeleton::conforms`] — the caller then evaluates that plan
+    /// over its own [`FrontierSkeleton::for_plan`] instead of silently
+    /// running a wrong dispatch order.
     pub fn compile(skel: &'s FrontierSkeleton, spec: &CloudSpec, plans: &[Plan]) -> Option<Self> {
         if plans.iter().any(|p| !skel.conforms(p)) {
             return None;
@@ -947,14 +698,14 @@ impl<'s> CompiledFrontier<'s> {
 
     /// Monte-Carlo evaluate all K candidates, `iters` realizations each,
     /// in lane-vectorized passes. `seeds[i]` seeds candidate `i`'s own
-    /// RNG stream exactly as [`CompiledPlan::mc_evaluate`] would.
+    /// RNG stream exactly as [`mc_evaluate_plan_reference`] would.
     pub fn evaluate(
         &self,
         deadline: f64,
         percentile: f64,
         iters: usize,
         seeds: &[u64],
-        scratch: &mut FrontierScratch,
+        scratch: &mut EvalScratch,
     ) -> Vec<McEval> {
         assert!(iters > 0);
         assert_eq!(seeds.len(), self.cols.len(), "one seed per candidate");
@@ -968,11 +719,11 @@ impl<'s> CompiledFrontier<'s> {
     /// One candidate's N realizations, [`FRONTIER_LANES`] at a time. Per
     /// lane the operation sequence — one uniform draw per task in dispatch
     /// order, the branch-free CDF count, the ready/start/finish maxes, the
-    /// slot spans, the cost ledger — is exactly [`CompiledPlan::realize`]'s
+    /// slot spans, the cost ledger — is exactly [`sampled_schedule`]'s
     /// (lanes are independent realizations; `hits`/`cost_sum`/`makespans`
     /// accumulate in realization order after each group). The draw pass
     /// consumes the RNG stream in realization-major order — the exact
-    /// stream positions the per-plan loop reads — and the fused
+    /// stream positions the reference loop reads — and the fused
     /// sample-and-schedule pass then shares each position's CDF row, slot
     /// and transfer constants across all lanes, so the per-lane work is
     /// pure data-parallel f64 arithmetic.
@@ -983,7 +734,7 @@ impl<'s> CompiledFrontier<'s> {
         percentile: f64,
         iters: usize,
         seed: u64,
-        scratch: &mut FrontierScratch,
+        scratch: &mut EvalScratch,
     ) -> McEval {
         // Re-compile the lane kernel for the widest vector unit the host
         // actually has: the default x86-64 baseline is SSE2 (2 f64 lanes
@@ -1020,7 +771,7 @@ impl<'s> CompiledFrontier<'s> {
         percentile: f64,
         iters: usize,
         seed: u64,
-        scratch: &mut FrontierScratch,
+        scratch: &mut EvalScratch,
     ) -> McEval {
         self.run_column_inner(col, deadline, percentile, iters, seed, scratch)
     }
@@ -1034,7 +785,7 @@ impl<'s> CompiledFrontier<'s> {
         percentile: f64,
         iters: usize,
         seed: u64,
-        scratch: &mut FrontierScratch,
+        scratch: &mut EvalScratch,
     ) -> McEval {
         self.run_column_inner(col, deadline, percentile, iters, seed, scratch)
     }
@@ -1047,7 +798,7 @@ impl<'s> CompiledFrontier<'s> {
         percentile: f64,
         iters: usize,
         seed: u64,
-        scratch: &mut FrontierScratch,
+        scratch: &mut EvalScratch,
     ) -> McEval {
         const L: usize = FRONTIER_LANES;
         let n = self.skel.n_tasks;
@@ -1322,43 +1073,46 @@ mod tests {
     }
 
     #[test]
-    fn compiled_realizations_match_reference_stream() {
-        // Realization-for-realization: the same RNG stream pushed through
-        // both loops yields identical (makespan, cost) pairs.
+    fn single_realizations_match_reference() {
+        // `iters = 1` exposes one realization's (makespan, cost) bit for
+        // bit: `prob` is its deadline verdict, `mean_cost` its cost and
+        // `quantile_makespan` its makespan.
         let (wf, spec, store) = setup();
         let table = ExecTimeTable::build(&wf, &store, 10);
         let plan = Plan::packed(&wf, &vec![1; wf.len()], 0, &spec);
-        let compiled = CompiledPlan::compile(&wf, &plan, &table, &spec);
-        let mut scratch = EvalScratch::new();
-        let mut r_ref = deco_prob::rng::seeded(42);
-        let mut r_fast = deco_prob::rng::seeded(42);
-        for i in 0..100 {
-            let a = sampled_schedule(&wf, &plan, &table, &spec, &mut r_ref);
-            let b = compiled.realize(&mut scratch, &mut r_fast);
-            assert_eq!(a, b, "realization {i} diverged");
+        for seed in 0..100u64 {
+            let a = mc_evaluate_plan_reference(&wf, &plan, &table, &spec, 900.0, 0.9, 1, seed);
+            let b = mc_evaluate_plan(&wf, &plan, &table, &spec, 900.0, 0.9, 1, seed);
+            assert_eq!(a, b, "realization of seed {seed} diverged");
         }
     }
 
     #[test]
-    fn dispatch_order_computed_once_per_compiled_plan() {
+    fn dispatch_order_computed_once_per_plan_skeleton() {
         let (wf, spec, store) = setup();
         let table = ExecTimeTable::build(&wf, &store, 12);
         let plan = Plan::packed(&wf, &vec![1; wf.len()], 0, &spec);
-        let before = deco_cloud::plan::dispatch_order_calls_on_this_thread();
-        let compiled = CompiledPlan::compile(&wf, &plan, &table, &spec);
+        let calls = deco_cloud::plan::dispatch_order_calls_on_this_thread;
+        // A conforming plan over a prebuilt shared skeleton never sorts.
+        let shared = FrontierSkeleton::build(&wf, &table);
         let mut scratch = EvalScratch::new();
-        let _ = compiled.mc_evaluate(900.0, 0.9, 200, 3, &mut scratch);
-        let after = deco_cloud::plan::dispatch_order_calls_on_this_thread();
-        assert_eq!(
-            after - before,
-            1,
-            "200 realizations must reuse one topological sort"
-        );
+        let before = calls();
+        let f = CompiledFrontier::compile(&shared, &spec, std::slice::from_ref(&plan))
+            .expect("packer plans conform");
+        let _ = f.evaluate(900.0, 0.9, 200, &[3], &mut scratch);
+        assert_eq!(calls() - before, 0, "the shared skeleton carries the order");
+        // Building a plan-ordered skeleton sorts exactly once; its 200
+        // realizations reuse that order.
+        let before = calls();
+        let own = FrontierSkeleton::for_plan(&wf, &table, &plan);
+        let f = CompiledFrontier::compile(&own, &spec, std::slice::from_ref(&plan))
+            .expect("a plan conforms to its own skeleton");
+        let _ = f.evaluate(900.0, 0.9, 200, &[3], &mut scratch);
+        assert_eq!(calls() - before, 1, "one topological sort per skeleton");
         // The reference loop, by contrast, sorts once per realization.
-        let before = deco_cloud::plan::dispatch_order_calls_on_this_thread();
+        let before = calls();
         let _ = mc_evaluate_plan_reference(&wf, &plan, &table, &spec, 900.0, 0.9, 10, 3);
-        let after = deco_cloud::plan::dispatch_order_calls_on_this_thread();
-        assert_eq!(after - before, 10);
+        assert_eq!(calls() - before, 10);
     }
 
     #[test]

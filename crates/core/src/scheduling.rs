@@ -55,7 +55,7 @@ pub struct SchedulingProblem<'a> {
     /// Candidate-block width handed to the batched frontier evaluator:
     /// the search backends chunk each frontier into blocks of this many
     /// states and evaluate every block as one [`CompiledFrontier`] pass.
-    /// `1` disables the frontier path (per-state evaluation); results are
+    /// `1` evaluates each state as its own K=1 pass; results are
     /// bit-identical either way.
     pub frontier_block: usize,
     /// Shared dispatch/CDF structure for the frontier evaluator, compiled
@@ -121,9 +121,7 @@ impl<'a> SchedulingProblem<'a> {
         self.skeleton = FrontierSkeleton::build(self.wf, &self.table);
     }
 
-    /// Map one Monte-Carlo verdict to the search-facing [`Evaluation`] —
-    /// the single post-processing used by both the per-plan and the
-    /// frontier path (same inputs → same bits).
+    /// Map one Monte-Carlo verdict to the search-facing [`Evaluation`].
     fn finish_eval(&self, s: &TypeState, e: McEval) -> Evaluation {
         // The margin is a *continuous* proximity signal: the ratio of the
         // deadline to the p-th-quantile makespan. It equals/exceeds 1 when
@@ -220,19 +218,9 @@ impl SearchProblem for SchedulingProblem<'_> {
     }
 
     fn evaluate_with(&self, s: &TypeState, seed: u64, scratch: &mut EvalScratch) -> Evaluation {
-        let plan = self.plan_of(s);
-        let e = mc_evaluate_plan_scratch(
-            self.wf,
-            &plan,
-            &self.table,
-            self.spec,
-            self.deadline,
-            self.percentile,
-            self.mc_iters,
-            seed,
-            scratch,
-        );
-        self.finish_eval(s, e)
+        self.evaluate_frontier(std::slice::from_ref(s), &[seed], scratch)
+            .pop()
+            .expect("one verdict per state")
     }
 
     fn frontier_block(&self) -> usize {
@@ -247,30 +235,36 @@ impl SearchProblem for SchedulingProblem<'_> {
     ) -> Vec<Evaluation> {
         debug_assert_eq!(states.len(), seeds.len());
         let plans: Vec<Plan> = states.iter().map(|s| self.plan_of(s)).collect();
-        match CompiledFrontier::compile(&self.skeleton, self.spec, &plans) {
-            Some(frontier) => {
-                let verdicts = frontier.evaluate(
-                    self.deadline,
-                    self.percentile,
-                    self.mc_iters,
-                    seeds,
-                    &mut scratch.frontier,
-                );
-                states
-                    .iter()
-                    .zip(verdicts)
-                    .map(|(s, e)| self.finish_eval(s, e))
-                    .collect()
-            }
+        let (d, p, n) = (self.deadline, self.percentile, self.mc_iters);
+        let verdicts = match CompiledFrontier::compile(&self.skeleton, self.spec, &plans) {
+            Some(frontier) => frontier.evaluate(d, p, n, seeds, scratch),
             // A candidate's dispatch ranks disagree with the shared
-            // skeleton (never the case for packer-produced plans): take
-            // the per-plan path, which is bit-identical by contract.
-            None => states
+            // skeleton (never the case for packer-produced plans): every
+            // candidate runs the same kernel over a skeleton in its own
+            // dispatch order.
+            None => plans
                 .iter()
                 .zip(seeds)
-                .map(|(s, &seed)| self.evaluate_with(s, seed, scratch))
+                .map(|(plan, &seed)| {
+                    mc_evaluate_plan_scratch(
+                        self.wf,
+                        plan,
+                        &self.table,
+                        self.spec,
+                        d,
+                        p,
+                        n,
+                        seed,
+                        scratch,
+                    )
+                })
                 .collect(),
-        }
+        };
+        states
+            .iter()
+            .zip(verdicts)
+            .map(|(s, e)| self.finish_eval(s, e))
+            .collect()
     }
 
     fn state_bytes(&self) -> usize {
@@ -360,6 +354,56 @@ mod tests {
         );
         assert_eq!(seq, par);
         assert_eq!(seq, gpu);
+    }
+
+    #[test]
+    fn evaluate_frontier_matches_per_state_evaluate_on_any_skeleton() {
+        // Packer plans all carry the same topological ranks, so a batch
+        // conforms to the problem's skeleton as a whole or not at all.
+        // Installing a skeleton in another dispatch order turns every
+        // state non-conforming: the batch then runs each state over its
+        // own plan-ordered skeleton, and every verdict must still equal
+        // per-state `evaluate` — which the conforming batch equals too.
+        let wf = generators::montage(1, 11);
+        let (spec, store) = setup(&wf);
+        let d = medium_deadline(&wf, &spec);
+        let mut p = SchedulingProblem::new(&wf, &spec, &store, d, 0.9);
+        p.mc_iters = 33;
+        let states: Vec<TypeState> = (0..spec.k())
+            .flat_map(|ty| {
+                let s = vec![ty; wf.len()];
+                let mut n = p.neighbors(&s);
+                n.truncate(2);
+                n.push(s);
+                n
+            })
+            .collect();
+        let seeds: Vec<u64> = states
+            .iter()
+            .map(|s| deco_solver::eval::state_seed(5, s))
+            .collect();
+        let per_state: Vec<Evaluation> = states
+            .iter()
+            .zip(&seeds)
+            .map(|(s, &seed)| p.evaluate(s, seed))
+            .collect();
+        let mut scratch = EvalScratch::new();
+        assert_eq!(
+            p.evaluate_frontier(&states, &seeds, &mut scratch),
+            per_state
+        );
+
+        let mut foreign = p.plan_of(&states[0]);
+        foreign.order.reverse();
+        p.skeleton = FrontierSkeleton::for_plan(&wf, &p.table, &foreign);
+        assert!(states.iter().all(|s| !p.skeleton.conforms(&p.plan_of(s))));
+        assert_eq!(
+            p.evaluate_frontier(&states, &seeds, &mut scratch),
+            per_state
+        );
+        for ((s, &seed), e) in states.iter().zip(&seeds).zip(&per_state) {
+            assert_eq!(p.evaluate_with(s, seed, &mut scratch), *e);
+        }
     }
 
     #[test]

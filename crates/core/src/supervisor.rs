@@ -87,7 +87,8 @@ pub struct SupervisedPlan {
 /// Walk the degradation chain. Returns a plan for every structurally valid
 /// request — even a pathological near-zero budget lands on the autoscaling
 /// stage — and an error only when the request itself is unusable (empty
-/// workflow, non-positive deadline, percentile outside `(0, 1]`).
+/// workflow, non-positive deadline, percentile outside `(0, 1]`) or the
+/// engine asks for zero Monte-Carlo iterations.
 pub fn plan_with_fallback(
     deco: &Deco,
     wf: &Workflow,
@@ -119,7 +120,7 @@ pub fn plan_with_fallback_scratch(
     budget: &SearchBudget,
     scratch: &mut EvalScratch,
 ) -> Result<SupervisedPlan, DecoError> {
-    validate_request(wf, deadline, percentile)?;
+    validate_request(deco, wf, deadline, percentile)?;
     let mut problem = build_problem(deco, wf, deadline, percentile);
 
     let mut skipped = Vec::new();
@@ -191,7 +192,7 @@ pub fn plan_fallback_only(
     skip_reason: &str,
     scratch: &mut EvalScratch,
 ) -> Result<SupervisedPlan, DecoError> {
-    validate_request(wf, deadline, percentile)?;
+    validate_request(deco, wf, deadline, percentile)?;
     let mut problem = build_problem(deco, wf, deadline, percentile);
     let skipped = vec![StageSkip {
         stage: PlanStage::Deco,
@@ -211,7 +212,17 @@ pub fn plan_fallback_only(
 
 /// Structural validation shared by every supervised entry point, ahead of
 /// any constructor that asserts.
-fn validate_request(wf: &Workflow, deadline: f64, percentile: f64) -> Result<(), DecoError> {
+fn validate_request(
+    deco: &Deco,
+    wf: &Workflow,
+    deadline: f64,
+    percentile: f64,
+) -> Result<(), DecoError> {
+    if deco.options.mc_iters == 0 {
+        return Err(DecoError::Plan(
+            "mc_iters must be positive: a state needs at least one Monte-Carlo realization".into(),
+        ));
+    }
     if wf.is_empty() {
         return Err(DecoError::Plan("workflow has no tasks".into()));
     }
@@ -436,6 +447,26 @@ mod tests {
                 .expect_err("invalid request");
             assert!(matches!(err, DecoError::Plan(_)), "{err}");
         }
+    }
+
+    #[test]
+    fn zero_mc_iters_is_a_typed_error_on_every_entry_point() {
+        let mut d = deco();
+        d.options.mc_iters = 0;
+        let wf = generators::montage(1, 8);
+        let deadline = medium_deadline(&wf, &d.store.spec);
+        let err = plan_with_fallback(&d, &wf, deadline, 0.9, &SearchBudget::unlimited())
+            .expect_err("zero iterations cannot evaluate a state");
+        assert!(
+            matches!(&err, DecoError::Plan(m) if m.contains("mc_iters")),
+            "{err}"
+        );
+        let err = plan_fallback_only(&d, &wf, deadline, 0.9, "test", &mut EvalScratch::new())
+            .expect_err("zero iterations cannot evaluate a state");
+        assert!(
+            matches!(&err, DecoError::Plan(m) if m.contains("mc_iters")),
+            "{err}"
+        );
     }
 
     #[test]

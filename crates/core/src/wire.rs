@@ -420,6 +420,9 @@ pub fn decode_engine(bytes: &[u8]) -> Result<Deco, DecoError> {
     let mut r = Reader::new(bytes);
     let store = decode_store_body(&mut r)?;
     let mc_iters = r.u64().map_err(remap)? as usize;
+    if mc_iters == 0 {
+        return Err(transport("wire payload corrupt", "mc_iters 0"));
+    }
     let beam_width = r.u64().map_err(remap)? as usize;
     let wlog_bins = r.u64().map_err(remap)? as usize;
     let frontier_block = r.u64().map_err(remap)? as usize;
@@ -609,6 +612,17 @@ mod tests {
         let rc = back.options.retry.expect("retry config");
         assert_eq!(rc.max_attempts, 3);
         assert_eq!(encode_engine(&deco), encode_engine(&back));
+    }
+
+    #[test]
+    fn engine_with_zero_mc_iters_is_a_corrupt_payload() {
+        let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 10);
+        let mut deco = Deco::new(store);
+        deco.options.mc_iters = 0;
+        assert!(matches!(
+            decode_engine(&encode_engine(&deco)),
+            Err(DecoError::Transport(m)) if m.contains("mc_iters")
+        ));
     }
 
     #[test]

@@ -75,14 +75,14 @@ pub fn state_seed<S: Hash>(root_seed: u64, state: &S) -> u64 {
 /// Evaluate a batch of states on the backend's device model. Returns the
 /// evaluations (in input order) and the modeled kernel seconds.
 ///
-/// When the problem declares a [`SearchProblem::frontier_block`] width
-/// above 1, the batch is split into fixed-size candidate blocks (chunked
-/// by input order, never by worker) and each block becomes one launch
-/// block running [`SearchProblem::evaluate_frontier`] — the K×N batched
-/// path. Worker count changes wall-clock only: blocks are stitched back
-/// in input order and every candidate keeps its own
-/// [`state_seed`]-derived stream, so the evaluations are bit-identical to
-/// the per-state path at any thread count.
+/// The batch is split into candidate blocks of
+/// [`SearchProblem::frontier_block`] states (chunked by input order, never
+/// by worker) and each block becomes one launch block running
+/// [`SearchProblem::evaluate_frontier`] — the K×N batched path, with K=1
+/// when the width is 1. Worker count changes wall-clock only: blocks are
+/// stitched back in input order and every candidate keeps its own
+/// [`state_seed`]-derived stream, so the evaluations are bit-identical at
+/// any block width and thread count.
 ///
 /// Device-model accounting is unchanged by batching: the returned timing
 /// is always modeled as one device block per *state* with the problem's
@@ -98,51 +98,39 @@ pub fn evaluate_batch<P: SearchProblem>(
 ) -> (Vec<Evaluation>, deco_gpu::KernelTiming) {
     let device = backend.device();
     let block = problem.frontier_block().max(1);
-    if block > 1 && states.len() > 1 {
-        let seeds: Vec<u64> = states.iter().map(|s| state_seed(root_seed, s)).collect();
-        let chunks: Vec<(&[P::State], &[u64])> =
-            states.chunks(block).zip(seeds.chunks(block)).collect();
-        let report = launch_with(
-            &device,
-            &chunks,
-            problem.threads_per_state(),
-            problem.state_bytes(),
-            P::Scratch::default,
-            |(st, sd), _, scratch| problem.evaluate_frontier(st, sd, scratch),
-        );
-        // Re-model the launch as one block per state (the paper's shape):
-        // each chunk's measured host seconds are split evenly across its
-        // states so `host_seconds` is preserved while occupancy and waves
-        // are computed from the per-state footprint, exactly as on the
-        // per-state path below.
-        let host: Vec<f64> = report
-            .blocks
-            .iter()
-            .flat_map(|b| {
-                let m = chunks[b.block].0.len();
-                std::iter::repeat_n(b.host_seconds / m as f64, m)
-            })
-            .collect();
-        let timing = deco_gpu::model(
-            &device,
-            &host,
-            problem.threads_per_state(),
-            problem.state_bytes(),
-        );
-        let evals: Vec<Evaluation> = report.values().into_iter().flatten().collect();
-        debug_assert_eq!(evals.len(), states.len());
-        return (evals, timing);
-    }
+    let seeds: Vec<u64> = states.iter().map(|s| state_seed(root_seed, s)).collect();
+    let chunks: Vec<(&[P::State], &[u64])> =
+        states.chunks(block).zip(seeds.chunks(block)).collect();
     let report = launch_with(
         &device,
-        states,
+        &chunks,
         problem.threads_per_state(),
         problem.state_bytes(),
         P::Scratch::default,
-        |s, _, scratch| problem.evaluate_with(s, state_seed(root_seed, s), scratch),
+        |(st, sd), _, scratch| problem.evaluate_frontier(st, sd, scratch),
     );
-    let timing = report.timing.clone();
-    (report.values(), timing)
+    // Re-model the launch as one block per state (the paper's shape):
+    // each chunk's measured host seconds are split evenly across its
+    // states so `host_seconds` is preserved while occupancy and waves are
+    // computed from the per-state footprint. A chunk of one state models
+    // exactly as its own launch block would.
+    let host: Vec<f64> = report
+        .blocks
+        .iter()
+        .flat_map(|b| {
+            let m = chunks[b.block].0.len();
+            std::iter::repeat_n(b.host_seconds / m as f64, m)
+        })
+        .collect();
+    let timing = deco_gpu::model(
+        &device,
+        &host,
+        problem.threads_per_state(),
+        problem.state_bytes(),
+    );
+    let evals: Vec<Evaluation> = report.values().into_iter().flatten().collect();
+    debug_assert_eq!(evals.len(), states.len());
+    (evals, timing)
 }
 
 #[cfg(test)]

@@ -125,82 +125,6 @@ proptest! {
         }
     }
 
-    /// The compiled Monte-Carlo evaluator agrees with the reference
-    /// realization loop *realization-for-realization* — identical RNG
-    /// stream in, bit-identical (makespan, cost) out — on arbitrary DAGs,
-    /// type vectors and seeds. This is the contract that makes the fast
-    /// path a pure optimization: same seed, same verdict.
-    #[test]
-    fn compiled_plan_matches_reference_realizations(
-        n in 2usize..20, p in 0.05f64..0.45,
-        seed in 0u64..60, tseed in 0u64..40, rng_seed in 0u64..1000,
-    ) {
-        use deco::engine::estimate::{sampled_schedule, CompiledPlan, EvalScratch, ExecTimeTable};
-        let spec = CloudSpec::amazon_ec2();
-        let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 25);
-        let wf = generators::random_dag(n, p, seed);
-        let mut trng = seeded(tseed);
-        let types: Vec<usize> = (0..n).map(|_| (trng.next_u64() % 4) as usize).collect();
-        let plan = Plan::packed(&wf, &types, 0, &spec);
-        let table = ExecTimeTable::build(&wf, &store, 10);
-        let compiled = CompiledPlan::compile(&wf, &plan, &table, &spec);
-        let mut scratch = EvalScratch::new();
-        let mut r_ref = seeded(rng_seed);
-        let mut r_fast = seeded(rng_seed);
-        for i in 0..20 {
-            let (m_ref, c_ref) = sampled_schedule(&wf, &plan, &table, &spec, &mut r_ref);
-            let (m_fast, c_fast) = compiled.realize(&mut scratch, &mut r_fast);
-            prop_assert!(
-                m_ref == m_fast && c_ref == c_fast,
-                "realization {} diverged: ({}, {}) vs ({}, {})",
-                i, m_ref, c_ref, m_fast, c_fast
-            );
-        }
-    }
-
-    /// The batched frontier evaluator is a pure optimization: K candidates
-    /// realized in one structure-of-arrays pass give the same bits as K
-    /// per-plan compiled evaluations, each candidate on its own seed
-    /// stream — over arbitrary DAGs, frontier widths and root seeds.
-    #[test]
-    fn compiled_frontier_matches_per_plan(
-        n in 2usize..20, p in 0.05f64..0.45,
-        seed in 0u64..60, k in 1usize..10, rng_seed in 0u64..1000,
-    ) {
-        use deco::engine::estimate::{
-            mc_evaluate_plan_scratch, CompiledFrontier, EvalScratch, ExecTimeTable,
-            FrontierScratch, FrontierSkeleton,
-        };
-        let spec = CloudSpec::amazon_ec2();
-        let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 25);
-        let wf = generators::random_dag(n, p, seed);
-        let table = ExecTimeTable::build(&wf, &store, 10);
-        let skel = FrontierSkeleton::build(&wf, &table);
-        let plans: Vec<Plan> = (0..k)
-            .map(|i| {
-                let types: Vec<usize> = (0..n).map(|j| (i * 5 + j * 3) % 4).collect();
-                Plan::packed(&wf, &types, 0, &spec)
-            })
-            .collect();
-        let seeds: Vec<u64> = (0..k as u64)
-            .map(|i| rng_seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let mut scratch = EvalScratch::new();
-        let deadline = 0.8 * mc_evaluate_plan_scratch(
-            &wf, &plans[0], &table, &spec, f64::INFINITY, 0.9, 16, rng_seed, &mut scratch,
-        ).quantile_makespan;
-        let frontier = CompiledFrontier::compile(&skel, &spec, &plans);
-        prop_assert!(frontier.is_some(), "packer plans must conform to the skeleton");
-        let mut fscratch = FrontierScratch::new();
-        let batched = frontier.unwrap().evaluate(deadline, 0.9, 33, &seeds, &mut fscratch);
-        for (i, (pl, sd)) in plans.iter().zip(&seeds).enumerate() {
-            let one = mc_evaluate_plan_scratch(
-                &wf, pl, &table, &spec, deadline, 0.9, 33, *sd, &mut scratch,
-            );
-            prop_assert!(one == batched[i], "frontier diverged at candidate {}", i);
-        }
-    }
-
     /// The simulated makespan never beats the critical-path bound computed
     /// from the same realization floor (tasks cannot finish before their
     /// dependency chain's CPU time at infinite bandwidth).
@@ -300,6 +224,127 @@ proptest! {
     }
 }
 
+/// Realization counts for the evaluator identity properties: `1` pins a
+/// single realization bit for bit; the rest straddle the
+/// `FRONTIER_LANES = 8` tail group.
+const IDENTITY_ITERS: [usize; 5] = [1, 7, 8, 9, 33];
+
+// The evaluator identity properties run at the default case count, so
+// `PROPTEST_CASES` can raise it.
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// The compiled evaluator is a pure optimization of the reference
+    /// loop: K packer plans compiled over the shared skeleton, each on its
+    /// own seed stream, give every `McEval` field equal to
+    /// `mc_evaluate_plan_reference` — whether they run as one K-wide batch
+    /// or as K=1 passes — over arbitrary DAGs, widths, seeds and
+    /// realization counts.
+    #[test]
+    fn evaluator_matches_reference_on_shared_skeleton(
+        n in 2usize..20, p in 0.05f64..0.45,
+        seed in 0u64..60, k in 1usize..10, rng_seed in 0u64..1000, it in 0usize..5,
+    ) {
+        use deco::engine::estimate::{
+            mc_evaluate_plan_reference, CompiledFrontier, EvalScratch, ExecTimeTable,
+            FrontierSkeleton,
+        };
+        let iters = IDENTITY_ITERS[it];
+        let spec = CloudSpec::amazon_ec2();
+        let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 25);
+        let wf = generators::random_dag(n, p, seed);
+        let table = ExecTimeTable::build(&wf, &store, 10);
+        let skel = FrontierSkeleton::build(&wf, &table);
+        let plans: Vec<Plan> = (0..k)
+            .map(|i| {
+                let types: Vec<usize> = (0..n).map(|j| (i * 5 + j * 3) % 4).collect();
+                Plan::packed(&wf, &types, 0, &spec)
+            })
+            .collect();
+        let seeds: Vec<u64> = (0..k as u64)
+            .map(|i| rng_seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let deadline = 0.8 * mc_evaluate_plan_reference(
+            &wf, &plans[0], &table, &spec, f64::INFINITY, 0.9, 16, rng_seed,
+        ).quantile_makespan;
+        let frontier = CompiledFrontier::compile(&skel, &spec, &plans);
+        prop_assert!(frontier.is_some(), "packer plans must conform to the skeleton");
+        let mut scratch = EvalScratch::new();
+        let batched = frontier.unwrap().evaluate(deadline, 0.9, iters, &seeds, &mut scratch);
+        for (i, (pl, &sd)) in plans.iter().zip(&seeds).enumerate() {
+            let reference =
+                mc_evaluate_plan_reference(&wf, pl, &table, &spec, deadline, 0.9, iters, sd);
+            let single = CompiledFrontier::compile(&skel, &spec, std::slice::from_ref(pl))
+                .expect("a packer plan conforms")
+                .evaluate(deadline, 0.9, iters, &[sd], &mut scratch)[0];
+            for (path, e) in [("batched", batched[i]), ("K=1", single)] {
+                prop_assert!(
+                    e.prob == reference.prob
+                        && e.mean_cost == reference.mean_cost
+                        && e.quantile_makespan == reference.quantile_makespan,
+                    "{} candidate {} of {} diverged at iters {}: {:?} vs {:?}",
+                    path, i, k, iters, e, reference
+                );
+            }
+        }
+    }
+
+    /// Plans whose dispatch ranks are shuffled or duplicated do not
+    /// conform to the shared skeleton; the K=1 path then builds a skeleton
+    /// in the plan's own dispatch order, and every `McEval` field still
+    /// equals `mc_evaluate_plan_reference`.
+    #[test]
+    fn evaluator_matches_reference_on_plan_ordered_skeletons(
+        n in 2usize..20, p in 0.05f64..0.45,
+        seed in 0u64..60, tseed in 0u64..40, rng_seed in 0u64..1000,
+        it in 0usize..5, ranks in 0usize..3,
+    ) {
+        use deco::engine::estimate::{
+            mc_evaluate_plan_reference, mc_evaluate_plan_scratch, EvalScratch, ExecTimeTable,
+        };
+        let iters = IDENTITY_ITERS[it];
+        let spec = CloudSpec::amazon_ec2();
+        let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 25);
+        let wf = generators::random_dag(n, p, seed);
+        let mut trng = seeded(tseed);
+        let types: Vec<usize> = (0..n).map(|_| (trng.next_u64() % 4) as usize).collect();
+        let mut plan = Plan::packed(&wf, &types, 0, &spec);
+        match ranks {
+            // Shuffled: a random permutation of the packer's ranks.
+            1 => {
+                for i in (1..n).rev() {
+                    plan.order.swap(i, (trng.next_u64() % (i as u64 + 1)) as usize);
+                }
+            }
+            // Duplicated: few distinct ranks, so the dispatch order breaks
+            // most ties by task id.
+            2 => {
+                for r in plan.order.iter_mut() {
+                    *r = (trng.next_u64() % (n as u64 / 3 + 1)) as u32;
+                }
+            }
+            _ => {}
+        }
+        let table = ExecTimeTable::build(&wf, &store, 10);
+        let deadline = 0.8 * mc_evaluate_plan_reference(
+            &wf, &plan, &table, &spec, f64::INFINITY, 0.9, 16, rng_seed,
+        ).quantile_makespan;
+        let reference =
+            mc_evaluate_plan_reference(&wf, &plan, &table, &spec, deadline, 0.9, iters, rng_seed);
+        let mut scratch = EvalScratch::new();
+        let e = mc_evaluate_plan_scratch(
+            &wf, &plan, &table, &spec, deadline, 0.9, iters, rng_seed, &mut scratch,
+        );
+        prop_assert!(
+            e.prob == reference.prob
+                && e.mean_cost == reference.mean_cost
+                && e.quantile_makespan == reference.quantile_makespan,
+            "ranks mode {} diverged at iters {}: {:?} vs {:?}",
+            ranks, iters, e, reference
+        );
+    }
+}
+
 // Non-proptest cross-crate invariants.
 
 /// Frontier batching changes how candidates are evaluated, not what the
@@ -359,9 +404,10 @@ fn frontier_batched_search_matches_per_state_across_backends() {
 }
 
 /// Fallback semantics: a candidate whose dispatch ranks disagree with the
-/// shared skeleton cannot join a `CompiledFrontier` — `compile` refuses
-/// the whole batch (and `evaluate_frontier` takes the bit-identical
-/// per-plan path instead of silently evaluating a wrong order).
+/// shared skeleton cannot join a `CompiledFrontier` over it — `compile`
+/// refuses the whole batch (and `evaluate_frontier` runs each candidate
+/// over a skeleton in its own dispatch order instead of silently
+/// evaluating a wrong order).
 #[test]
 fn frontier_compile_rejects_nonconforming_plans() {
     use deco::engine::estimate::{CompiledFrontier, ExecTimeTable, FrontierSkeleton};
