@@ -38,18 +38,22 @@ impl StableHasher {
     }
 
     /// Feed an `f64` canonically: `-0.0` collapses onto `+0.0` and every
-    /// NaN payload onto one canonical NaN, so semantically equal inputs
-    /// hash equally (content-addressed cache keys hash deadlines, prices
-    /// and byte counts through this).
+    /// NaN payload onto one canonical NaN ([`canonical_f64_bits`]), so
+    /// semantically equal inputs hash equally.
     pub fn write_f64(&mut self, v: f64) {
-        let bits = if v == 0.0 {
-            0u64
-        } else if v.is_nan() {
-            f64::NAN.to_bits()
-        } else {
-            v.to_bits()
-        };
-        self.write_u64(bits);
+        self.write_u64(canonical_f64_bits(v));
+    }
+}
+
+/// An `f64`'s bits with `-0.0` collapsed onto `+0.0` and every NaN
+/// payload onto one canonical NaN: the form every content hash feeds.
+pub fn canonical_f64_bits(v: f64) -> u64 {
+    if v == 0.0 {
+        0
+    } else if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
     }
 }
 

@@ -2,12 +2,12 @@
 //!
 //! A plan is a pure function of (workflow DAG shape, catalog facts, engine
 //! options, canonical deadline, percentile, budget). The cache keys on a
-//! [`StableHasher`] digest of exactly those inputs:
+//! digest of exactly those inputs:
 //!
-//! * the **workflow shape** — task profiles and data edges in canonical
-//!   order; task and workflow *names* are deliberately excluded, so two
-//!   tenants submitting structurally identical DAX documents share one
-//!   cache line;
+//! * the **workflow shape** — task profiles in task order and data edges
+//!   as a set; task and workflow *names* are deliberately excluded, so
+//!   two tenants submitting structurally identical DAX documents share
+//!   one cache line;
 //! * the **catalog epoch** ([`MetadataStore::catalog_epoch`]) plus a
 //!   price-table fingerprint — a recalibration or price refresh bumps the
 //!   epoch, which changes every key derived afterwards and strands the
@@ -20,36 +20,103 @@
 //! A warm hit therefore returns a plan bit-identical to what a cold solve
 //! of the same canonical request would produce — the property the
 //! proptests pin.
+//!
+//! **Key derivation.** Keys are hashed on every request, hit or miss, so
+//! the digest works a 64-bit word at a time (`KeyHasher`): one folded
+//! 64×64→128-bit multiply per word and a SplitMix64 finish, with `f64`s
+//! canonicalised by [`canonical_f64_bits`] as in
+//! [`StableHasher::write_f64`] (`-0.0` equals `+0.0`, every NaN is one
+//! NaN). Edges enter as a wrapping sum of
+//! per-edge mixes of `(from, to, bytes)`: the sum ignores insertion
+//! order, and [`Workflow::add_edge`] rejects duplicates, so the edge list
+//! is a set and needs no sort. Keys are not durable across derivations:
+//! bumping `KEY_DOMAIN` (or the mixer) strands every stored entry, which
+//! is why the supervisor journal's version moves with it.
+//!
+//! [`StableHasher`]: deco_prob::hash::StableHasher
+//! [`StableHasher::write_f64`]: deco_prob::hash::StableHasher::write_f64
 
+use crate::request::PlanRequest;
+use crate::server::{canonical_deadline, ServeConfig};
 use deco_cloud::MetadataStore;
 use deco_core::supervisor::SupervisedPlan;
-use deco_core::DecoOptions;
-use deco_prob::hash::StableHasher;
+use deco_core::{Deco, DecoOptions};
+use deco_prob::hash::canonical_f64_bits;
+use deco_prob::rng::splitmix64;
 use deco_workflow::Workflow;
 use std::collections::HashMap;
-use std::hash::Hasher;
 
 /// Domain-separation seed: bump when the key derivation changes shape.
-const KEY_DOMAIN: u64 = 0x5E72_ECAC_4E00_0001;
+const KEY_DOMAIN: u64 = 0x5E72_ECAC_4E00_0002;
+
+/// Odd multiplier of the per-word mix (the 64-bit golden ratio).
+const WORD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Edge-mix whitening. `EDGE_ENDS` has its top bit set, so only a task
+/// index ≥ 2^31 could cancel it; `EDGE_BYTES` is a NaN with a payload
+/// [`canonical_f64_bits`] never produces. Neither operand of an edge's
+/// multiply is therefore ever zero, so every edge moves the sum.
+const EDGE_ENDS: u64 = 0xA076_1D64_78BD_642F;
+const EDGE_BYTES: u64 = 0x7FF4_E703_7ED1_A0B4;
+
+/// The low and high halves of the 128-bit product, folded by XOR.
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// The content-key hasher: a serial chain of one folded multiply per
+/// 64-bit word, finished by SplitMix64. Private to key derivation — the
+/// byte-wise `StableHasher` still seeds Monte-Carlo streams, WAL
+/// checksums and fault schedules, whose values must never move.
+struct KeyHasher {
+    state: u64,
+}
+
+impl KeyHasher {
+    fn with_seed(seed: u64) -> Self {
+        KeyHasher {
+            state: splitmix64(seed),
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.state = fold_mul(self.state ^ w, WORD_MUL);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.word(canonical_f64_bits(v));
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64(self.state)
+    }
+}
+
+/// One edge's contribution to the shape hash's order-free edge sum.
+fn edge_mix(from: u32, to: u32, bytes: f64) -> u64 {
+    let ends = (u64::from(from) << 32) | u64::from(to);
+    fold_mul(ends ^ EDGE_ENDS, canonical_f64_bits(bytes) ^ EDGE_BYTES)
+}
 
 /// Canonical structural hash of a workflow: profiles and edges, no names.
 pub fn workflow_shape_hash(wf: &Workflow) -> u64 {
-    let mut h = StableHasher::with_seed(KEY_DOMAIN ^ 0x0DA6);
-    h.write_usize(wf.len());
+    let mut h = KeyHasher::with_seed(KEY_DOMAIN ^ 0x0DA6);
+    h.word(wf.len() as u64);
     for t in wf.tasks() {
-        h.write_f64(t.profile.cpu_seconds);
-        h.write_f64(t.profile.read_bytes);
-        h.write_f64(t.profile.write_bytes);
+        h.f64(t.profile.cpu_seconds);
+        h.f64(t.profile.read_bytes);
+        h.f64(t.profile.write_bytes);
     }
-    // Canonical edge order: (from, to) — insertion order is not content.
-    let mut edges: Vec<(u32, u32, f64)> = wf.edges().map(|e| (e.from.0, e.to.0, e.bytes)).collect();
-    edges.sort_by_key(|e| (e.0, e.1));
-    h.write_usize(edges.len());
-    for (from, to, bytes) in edges {
-        h.write_u32(from);
-        h.write_u32(to);
-        h.write_f64(bytes);
+    // Insertion order is not content: the edges form a set, and a
+    // wrapping sum is the same for every order of one set.
+    let mut edges = 0u64;
+    let mut sum = 0u64;
+    for e in wf.edges() {
+        edges += 1;
+        sum = sum.wrapping_add(edge_mix(e.from.0, e.to.0, e.bytes));
     }
+    h.word(edges);
+    h.word(sum);
     h.finish()
 }
 
@@ -57,47 +124,46 @@ pub fn workflow_shape_hash(wf: &Workflow) -> u64 {
 /// monotonic staleness signal) plus the price table and billing geometry,
 /// so even an un-bumped store swap cannot alias keys.
 pub fn catalog_fingerprint(store: &MetadataStore) -> u64 {
-    let mut h = StableHasher::with_seed(KEY_DOMAIN ^ 0xCA7A);
-    h.write_u64(store.catalog_epoch());
+    let mut h = KeyHasher::with_seed(KEY_DOMAIN ^ 0xCA7A);
+    h.word(store.catalog_epoch());
     let spec = &store.spec;
-    h.write_usize(spec.types.len());
+    h.word(spec.types.len() as u64);
     for t in &spec.types {
-        h.write_f64(t.price_per_hour);
-        h.write_f64(t.ecu);
+        h.f64(t.price_per_hour);
+        h.f64(t.ecu);
     }
-    h.write_usize(spec.regions.len());
+    h.word(spec.regions.len() as u64);
     for r in &spec.regions {
-        h.write_f64(r.price_multiplier);
+        h.f64(r.price_multiplier);
     }
-    h.write_f64(spec.billing_quantum);
-    h.write_f64(spec.inter_region_price_per_gb);
+    h.f64(spec.billing_quantum);
+    h.f64(spec.inter_region_price_per_gb);
     h.finish()
 }
 
 /// Fingerprint of every engine option that can change a solve's verdict.
 pub fn options_fingerprint(options: &DecoOptions) -> u64 {
-    let mut h = StableHasher::with_seed(KEY_DOMAIN ^ 0x0975);
-    h.write_usize(options.mc_iters);
-    h.write_usize(options.beam_width);
-    h.write_usize(options.wlog_bins);
-    h.write_usize(options.search.max_states);
-    h.write_usize(options.search.patience);
-    h.write_usize(options.search.batch);
-    h.write_u64(options.search.seed);
+    let mut h = KeyHasher::with_seed(KEY_DOMAIN ^ 0x0975);
+    h.word(options.mc_iters as u64);
+    h.word(options.beam_width as u64);
+    h.word(options.wlog_bins as u64);
+    h.word(options.search.max_states as u64);
+    h.word(options.search.patience as u64);
+    h.word(options.search.batch as u64);
+    h.word(options.search.seed);
     match &options.retry {
-        None => h.write_u8(0),
+        None => h.word(0),
         Some(r) => {
-            h.write_u8(1);
-            h.write_u32(r.max_attempts);
-            h.write_f64(r.backoff_base);
-            h.write_f64(r.backoff_cap);
+            h.word(1);
+            h.word(u64::from(r.max_attempts));
+            h.f64(r.backoff_base);
+            h.f64(r.backoff_cap);
         }
     }
     h.finish()
 }
 
 /// The full content-addressed key of one canonical plan request.
-#[allow(clippy::too_many_arguments)]
 pub fn plan_key(
     wf: &Workflow,
     store: &MetadataStore,
@@ -106,20 +172,35 @@ pub fn plan_key(
     percentile: f64,
     budget_ticks: Option<f64>,
 ) -> u64 {
-    let mut h = StableHasher::with_seed(KEY_DOMAIN);
-    h.write_u64(workflow_shape_hash(wf));
-    h.write_u64(catalog_fingerprint(store));
-    h.write_u64(options_fingerprint(options));
-    h.write_f64(canonical_deadline);
-    h.write_f64(percentile);
+    let mut h = KeyHasher::with_seed(KEY_DOMAIN);
+    h.word(workflow_shape_hash(wf));
+    h.word(catalog_fingerprint(store));
+    h.word(options_fingerprint(options));
+    h.f64(canonical_deadline);
+    h.f64(percentile);
     match budget_ticks {
-        None => h.write_u8(0),
+        None => h.word(0),
         Some(t) => {
-            h.write_u8(1);
-            h.write_f64(t);
+            h.word(1);
+            h.f64(t);
         }
     }
     h.finish()
+}
+
+/// The key a serving tier derives for `req` under `cfg`: the request's
+/// deadline floored to its bucket, and its budget hint (or the
+/// configured cap) as the budget component. Every tier's `key_for` and
+/// the cycle loop go through here, so they cannot drift apart.
+pub fn request_key(req: &PlanRequest, deco: &Deco, cfg: &ServeConfig) -> u64 {
+    plan_key(
+        &req.workflow,
+        &deco.store,
+        &deco.options,
+        canonical_deadline(req.deadline, cfg.deadline_bucket),
+        req.percentile,
+        req.budget_hint.or(cfg.budget.ticks),
+    )
 }
 
 struct Entry {
@@ -243,6 +324,36 @@ mod tests {
         assert_ne!(
             workflow_shape_hash(&generators::pipeline(3, 10.0, 0)),
             workflow_shape_hash(&generators::pipeline(4, 10.0, 0))
+        );
+    }
+
+    #[test]
+    fn key_hasher_known_answers_never_change() {
+        // Golden values: every content key, and so every stored plan's
+        // address and every journaled key, hangs on these. Do not update
+        // them to make a refactor pass; a deliberate change of the
+        // derivation bumps KEY_DOMAIN and the journal version with them.
+        let words = |seed: u64, ws: &[u64]| {
+            let mut h = KeyHasher::with_seed(seed);
+            for &w in ws {
+                h.word(w);
+            }
+            h.finish()
+        };
+        assert_eq!(words(0, &[]), 0xA706_DD2F_4D19_7E6F);
+        assert_eq!(words(KEY_DOMAIN, &[1, 2, 3]), 0xD3B7_2158_4BC0_1464);
+        assert_eq!(edge_mix(0, 1, 1024.0), 0xFCC8_BEB9_4B0E_7E3A);
+        assert_eq!(
+            workflow_shape_hash(&generators::pipeline(3, 10.0, 0)),
+            0xAD9F_E594_2BA5_9524
+        );
+        assert_eq!(
+            workflow_shape_hash(&generators::montage(1, 5)),
+            0xF76F_D8EA_29CB_17B4
+        );
+        assert_eq!(
+            workflow_shape_hash(&generators::ligo(20, 3)),
+            0x0E64_E808_9B7C_4410
         );
     }
 

@@ -30,7 +30,7 @@
 //! digested state.
 
 use crate::stats::ServeStats;
-use deco_core::codec::{put_f64, put_u32, put_u64, put_u8, Reader};
+use deco_core::codec::{put_f64, put_u32, put_u64, Reader};
 use deco_core::wire::{decode_budget, encode_budget};
 use deco_core::DecoError;
 use deco_solver::SearchBudget;
@@ -46,7 +46,6 @@ pub struct PendingCheckpoint {
     pub deadline: f64,
     pub percentile: f64,
     pub budget: SearchBudget,
-    pub key_budget: Option<f64>,
     pub attempt: u32,
     pub not_before: f64,
     /// Trace seqs of the requests answered by this solve, in join order.
@@ -67,7 +66,8 @@ pub struct ServeCheckpoint {
     pub queue: Vec<u64>,
     /// Retrying solves with their backoff deadlines and waiters.
     pub retries: Vec<PendingCheckpoint>,
-    /// Per-shape observed service costs feeding `shed_estimate`.
+    /// Per-shape observed service costs feeding `shed_estimate`, each
+    /// shape's samples ascending by `f64::total_cmp`.
     pub shape_costs: BTreeMap<u64, Vec<f64>>,
     /// Running stats (without `cycle_rows`, which are not digested).
     pub stats: ServeStats,
@@ -202,13 +202,6 @@ impl ServeCheckpoint {
             put_f64(out, p.deadline);
             put_f64(out, p.percentile);
             encode_budget(out, &p.budget);
-            match p.key_budget {
-                Some(b) => {
-                    put_u8(out, 1);
-                    put_f64(out, b);
-                }
-                None => put_u8(out, 0),
-            }
             put_u32(out, p.attempt);
             put_f64(out, p.not_before);
             put_seqs(out, &p.waiters);
@@ -252,11 +245,6 @@ impl ServeCheckpoint {
             let deadline = r.f64()?;
             let percentile = r.f64()?;
             let budget = decode_budget(&mut r)?;
-            let key_budget = match r.u8()? {
-                0 => None,
-                1 => Some(r.f64()?),
-                other => return Err(corrupt(&format!("unknown key-budget tag {other}"))),
-            };
             let attempt = r.u32()?;
             let not_before = r.f64()?;
             let waiters = read_seqs(&mut r, "retry waiters")?;
@@ -265,7 +253,6 @@ impl ServeCheckpoint {
                 deadline,
                 percentile,
                 budget,
-                key_budget,
                 attempt,
                 not_before,
                 waiters,
@@ -323,6 +310,10 @@ impl ServeCheckpoint {
         if self.retries.iter().any(|p| p.waiters.is_empty()) {
             return Err(corrupt("a retry has no waiters"));
         }
+        let ascending = |c: &Vec<f64>| c.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le());
+        if !self.shape_costs.values().all(ascending) {
+            return Err(corrupt("shape cost samples out of order"));
+        }
         Ok(())
     }
 }
@@ -354,7 +345,6 @@ mod tests {
                 deadline: 600.0,
                 percentile: 0.95,
                 budget: SearchBudget::unlimited(),
-                key_budget: Some(80.0),
                 attempt: 2,
                 not_before: 330.0,
                 waiters: vec![9, 11],
@@ -379,7 +369,6 @@ mod tests {
         assert_eq!(p.key, 0xDEAD_BEEF);
         assert_eq!(p.attempt, 2);
         assert_eq!(p.not_before.to_bits(), 330.0f64.to_bits());
-        assert_eq!(p.key_budget, Some(80.0));
         assert_eq!(p.waiters, vec![9, 11]);
         assert_eq!(back.shape_costs[&42], vec![1.0, 2.0, 4.0]);
         assert_eq!(back.stats.digest(), ck.stats.digest());
@@ -417,6 +406,9 @@ mod tests {
         let mut bad = sample();
         bad.retries[0].waiters.clear();
         assert!(bad.validate(100).is_err(), "a retry without a requester");
+        let mut bad = sample();
+        bad.shape_costs.insert(7, vec![2.0, 1.0]);
+        assert!(bad.validate(100).is_err(), "unsorted shape cost samples");
     }
 
     #[test]

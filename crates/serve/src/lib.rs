@@ -45,7 +45,7 @@ pub mod server;
 pub mod stats;
 pub mod store;
 
-pub use cache::{plan_key, workflow_shape_hash, PlanCache};
+pub use cache::{plan_key, request_key, workflow_shape_hash, PlanCache};
 pub use checkpoint::{PendingCheckpoint, ServeCheckpoint};
 pub use faults::{WorkerFate, WorkerFaultPlan};
 pub use queue::AdmissionQueue;

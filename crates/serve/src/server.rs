@@ -49,7 +49,7 @@
 //! order — which is why an N-shard backend replays byte-identically to
 //! this single-process one (the shard tests pin N ∈ {1, 2, 4}).
 
-use crate::cache::{plan_key, workflow_shape_hash, PlanCache};
+use crate::cache::{request_key, workflow_shape_hash, PlanCache};
 use crate::checkpoint::{PendingCheckpoint, ServeCheckpoint};
 use crate::faults::{WorkerFate, WorkerFaultPlan};
 use crate::queue::{effective_budget, fair_share_budgets, AdmissionQueue, QueuedRequest};
@@ -293,9 +293,6 @@ struct PendingSolve {
     deadline: f64,
     percentile: f64,
     budget: SearchBudget,
-    /// The budget component of the cache key (hint or config cap), kept
-    /// so the job can be re-keyed after a calibration refresh.
-    key_budget: Option<f64>,
     /// Dispatches lost to worker crashes so far.
     attempt: u32,
     /// Earliest tick at which this job may be dispatched again.
@@ -306,9 +303,14 @@ struct PendingSolve {
 }
 
 impl PendingSolve {
+    /// The original requester's request, whose key this solve carries.
+    fn request<'t>(&self, arrivals: &'t [Arrival]) -> &'t PlanRequest {
+        &arrivals[self.waiters[0].seq as usize].request
+    }
+
     /// The workflow this solve plans: the original requester's.
     fn workflow<'t>(&self, arrivals: &'t [Arrival]) -> &'t Workflow {
-        &arrivals[self.waiters[0].seq as usize].request.workflow
+        &self.request(arrivals).workflow
     }
 
     /// The public checkpoint image of this solve.
@@ -318,7 +320,6 @@ impl PendingSolve {
             deadline: self.deadline,
             percentile: self.percentile,
             budget: self.budget.clone(),
-            key_budget: self.key_budget,
             attempt: self.attempt,
             not_before: self.not_before,
             waiters: self.waiters.iter().map(|q| q.seq).collect(),
@@ -333,7 +334,6 @@ impl PendingSolve {
             deadline: ck.deadline,
             percentile: ck.percentile,
             budget: ck.budget,
-            key_budget: ck.key_budget,
             attempt: ck.attempt,
             not_before: ck.not_before,
             waiters: ck.waiters.iter().map(|&s| queued(arrivals, s)).collect(),
@@ -412,20 +412,25 @@ fn fallback_answer(
 }
 
 /// Observed per-shape solve costs for this run: shape hash → every
-/// `budget_spent` sample, in canonical integration order. Feeds the shed
+/// `budget_spent` sample, ascending by [`f64::total_cmp`]. Feeds the shed
 /// policy's service estimate when [`ServeConfig::shed_estimate`] is on.
 type ShapeCosts = BTreeMap<u64, Vec<f64>>;
+
+/// Record one solve's cost under its workflow's shape, keeping the
+/// shape's samples sorted so a quantile is one index.
+fn record_shape_cost(costs: &mut ShapeCosts, workflow: &Workflow, cost: f64) {
+    let samples = costs.entry(workflow_shape_hash(workflow)).or_default();
+    let at = samples.partition_point(|s| s.total_cmp(&cost).is_le());
+    samples.insert(at, cost);
+}
 
 /// Quantile (nearest-rank, `q` in `(0, 1]`) of the observed solve costs
 /// for a workflow's shape; zero when the shape has not been solved yet
 /// (conservative: never sheds on a guess). A single-sample shape returns
 /// that sample at every quantile.
 fn shape_cost_estimate(costs: &ShapeCosts, workflow: &Workflow, q: f64) -> f64 {
-    let shape = workflow_shape_hash(workflow);
-    match costs.get(&shape) {
-        Some(samples) if !samples.is_empty() => {
-            let mut sorted = samples.clone();
-            sorted.sort_by(f64::total_cmp);
+    match costs.get(&workflow_shape_hash(workflow)) {
+        Some(sorted) if !sorted.is_empty() => {
             let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
             sorted[rank - 1]
         }
@@ -599,14 +604,7 @@ fn serve_loop<B: ServeBackend>(
             stats.stale_purged += purged as u64;
             let deco = backend.deco();
             for job in retries.iter_mut() {
-                job.key = plan_key(
-                    job.workflow(arrivals),
-                    &deco.store,
-                    &deco.options,
-                    job.deadline,
-                    job.percentile,
-                    job.key_budget,
-                );
+                job.key = request_key(job.request(arrivals), deco, &cfg);
             }
         }
 
@@ -884,18 +882,7 @@ fn run_cycle<B: ServeBackend>(
             continue;
         }
         let cd = canonical_deadline(request.deadline, cfg.deadline_bucket);
-        let key_budget = request.budget_hint.or(cfg.budget.ticks);
-        let key = {
-            let deco = backend.deco();
-            plan_key(
-                &request.workflow,
-                &deco.store,
-                &deco.options,
-                cd,
-                request.percentile,
-                key_budget,
-            )
-        };
+        let key = request_key(request, backend.deco(), cfg);
         if let Some(plan) = backend.cache_get(key) {
             answers.push((
                 qr,
@@ -947,7 +934,6 @@ fn run_cycle<B: ServeBackend>(
                 deadline: cd,
                 percentile: request.percentile,
                 budget: SearchBudget::unlimited(), // budgeted below
-                key_budget,
                 attempt: 0,
                 not_before: cycle_start,
                 waiters: vec![qr],
@@ -1086,11 +1072,11 @@ fn run_cycle<B: ServeBackend>(
             Ok(plan) => {
                 if cfg.shed_estimate {
                     // Feed the shed policy's per-shape solve-cost model.
-                    let shape = workflow_shape_hash(job.workflow(arrivals));
-                    shape_costs
-                        .entry(shape)
-                        .or_default()
-                        .push(plan.provenance.budget_spent);
+                    record_shape_cost(
+                        shape_costs,
+                        job.workflow(arrivals),
+                        plan.provenance.budget_spent,
+                    );
                 }
                 if job.attempt == 0 {
                     for (i, qr) in job.waiters.into_iter().enumerate() {
@@ -1308,15 +1294,7 @@ impl PlanServer {
     /// The content key [`serve_trace`](Self::serve_trace) would derive for
     /// a request — exposed so tests and benches can predict hits.
     pub fn key_for(&self, req: &crate::request::PlanRequest) -> u64 {
-        let cd = canonical_deadline(req.deadline, self.config.deadline_bucket);
-        plan_key(
-            &req.workflow,
-            &self.deco.store,
-            &self.deco.options,
-            cd,
-            req.percentile,
-            req.budget_hint.or(self.config.budget.ticks),
-        )
+        request_key(req, &self.deco, &self.config)
     }
 
     /// Atomically swap in freshly calibrated metadata between cycles. The
@@ -1802,21 +1780,27 @@ mod tests {
     #[test]
     fn shed_estimate_quantile_is_nearest_rank_over_shape_samples() {
         let r = request(1, 7).workflow;
-        let shape = workflow_shape_hash(&r);
         let mut costs = ShapeCosts::new();
         assert_eq!(
             shape_cost_estimate(&costs, &r, 0.9),
             0.0,
             "unseen shapes never shed on a guess"
         );
-        costs.insert(shape, vec![40.0]);
+        record_shape_cost(&mut costs, &r, 40.0);
         assert_eq!(shape_cost_estimate(&costs, &r, 0.5), 40.0);
         assert_eq!(
             shape_cost_estimate(&costs, &r, 0.9),
             40.0,
             "a single sample is every quantile"
         );
-        costs.insert(shape, vec![1000.0, 10.0, 30.0, 20.0, 40.0]);
+        for cost in [1000.0, 10.0, 30.0, 20.0] {
+            record_shape_cost(&mut costs, &r, cost);
+        }
+        assert_eq!(
+            costs[&workflow_shape_hash(&r)],
+            vec![10.0, 20.0, 30.0, 40.0, 1000.0],
+            "samples are kept sorted on insert"
+        );
         assert_eq!(shape_cost_estimate(&costs, &r, 0.5), 30.0);
         assert_eq!(
             shape_cost_estimate(&costs, &r, 0.9),

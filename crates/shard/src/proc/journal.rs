@@ -56,8 +56,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Version byte leading every journal frame body. Version 2 made commit
-/// `waits` a delta; version-1 bodies are rejected as corrupt.
-pub const JOURNAL_VERSION: u8 = 2;
+/// `waits` a delta; version 3 marks the word-wise content keys (keys
+/// written under the byte-wise derivation name no entry this build can
+/// reach) and drops the retry key-budget field from commit checkpoints.
+/// Bodies of any other version are rejected as corrupt.
+pub const JOURNAL_VERSION: u8 = 3;
 
 /// WAL file name inside the journal directory (public so chaos tests
 /// can truncate and corrupt it from outside).
@@ -923,16 +926,24 @@ mod tests {
     }
 
     #[test]
-    fn version_one_bodies_are_rejected_as_corrupt() {
+    fn older_version_bodies_are_rejected_as_corrupt() {
         for frame in [
             JournalFrame::Epoch { epoch: 1 },
+            JournalFrame::Touch {
+                shard: 0,
+                key: 7,
+                last_use: 9,
+            },
             JournalFrame::Commit(sample_commit(1, 0, vec!["a".into()])),
         ] {
             let mut body = frame.encode_body();
             assert!(JournalFrame::decode_body(&body).is_ok());
-            body[0] = 1;
-            let err = JournalFrame::decode_body(&body).expect_err("version 1");
-            assert!(err.to_string().contains("journal corrupt"), "{err}");
+            // v1: absolute waits; v2: byte-wise content keys.
+            for old in 1..JOURNAL_VERSION {
+                body[0] = old;
+                let err = JournalFrame::decode_body(&body).expect_err("an older version");
+                assert!(err.to_string().contains("journal corrupt"), "{err}");
+            }
         }
     }
 

@@ -42,8 +42,7 @@ use deco_serve::server::{
     serve_trace_backend, serve_trace_resumable, CalibrationRefresh, ServeBackend, SolveJob,
 };
 use deco_serve::{
-    canonical_deadline, plan_key, ArrivalTrace, BackendObservability, PlanResponse, ServeConfig,
-    ServeStats,
+    request_key, ArrivalTrace, BackendObservability, PlanResponse, ServeConfig, ServeStats,
 };
 use deco_serve::{ServeCheckpoint, ServeSession};
 use deco_solver::SearchBudget;
@@ -356,6 +355,12 @@ struct ChildShard {
     /// cycle dirty for the barrier — over-replaying them is free — but
     /// they still replay to a recovered worker like any other mutation.
     unacked: VecDeque<(u64, Vec<u8>, bool)>,
+    /// Encoded `Touch` frames not yet written to the pipe. A warm hit
+    /// only appends here; the bytes go out ahead of the next
+    /// non-recency frame or at the cycle boundary, so a pure-hit cycle
+    /// costs one pipe write per shard and the worker still sees every
+    /// frame in `seq` order. The same frames sit in `unacked` until acked.
+    outbox: Vec<u8>,
     /// Store counters of dead incarnations (workers reset on restart).
     stats_base: WorkerStoreStats,
     /// Latest snapshot from the live incarnation.
@@ -573,6 +578,8 @@ impl Inner {
             let _ = child.wait();
         }
         c.rx = None;
+        // `unacked` still holds these frames; replay re-sends them.
+        c.outbox.clear();
         c.retire_incarnation();
     }
 
@@ -719,6 +726,8 @@ impl Inner {
 
     // ---- pipe I/O ---------------------------------------------------------
 
+    /// Write `bytes` to the worker, preceded by any pending outbox bytes
+    /// in the same `write_all`.
     fn write_raw(&mut self, si: usize, bytes: &[u8]) -> std::io::Result<()> {
         let c = &mut self.children[si];
         let Some(stdin) = c.stdin.as_mut() else {
@@ -727,14 +736,31 @@ impl Inner {
                 "worker has no stdin",
             ));
         };
-        stdin.write_all(bytes)?;
+        let sent = if c.outbox.is_empty() {
+            stdin.write_all(bytes)
+        } else {
+            c.outbox.extend_from_slice(bytes);
+            let sent = stdin.write_all(&c.outbox);
+            c.outbox.clear();
+            sent
+        };
+        sent?;
         stdin.flush()
     }
 
+    /// Send a shard's pending `Touch` frames, if any. A write failure
+    /// takes the crash path, whose replay re-sends them.
+    fn flush_outbox(&mut self, si: usize) {
+        if !self.children[si].outbox.is_empty() && self.write_raw(si, &[]).is_err() {
+            self.crash_and_revive(si, true);
+        }
+    }
+
     /// Send one seq-tracked mutation frame, buffering it for replay.
-    /// Returns the sequence number sent, or `None` if the shard is dark.
-    /// A write failure takes the crash path; the frame is already in the
-    /// replay buffer, so it is not lost.
+    /// Returns the sequence number assigned, or `None` if the shard is
+    /// dark. A recency-only frame (`Touch`) goes to the outbox instead
+    /// of the pipe. A write failure takes the crash path; the frame is
+    /// already in the replay buffer, so it is not lost.
     fn mutate(&mut self, si: usize, build: impl FnOnce(u64) -> Frame) -> Option<u64> {
         if !self.children[si].live() {
             return None;
@@ -751,9 +777,14 @@ impl Inner {
             self.stats.transport_errors += 1;
             return None;
         };
+        if recency {
+            self.children[si].outbox.extend_from_slice(&bytes);
+            self.children[si].unacked.push_back((seq, bytes, true));
+            return Some(seq);
+        }
         self.children[si]
             .unacked
-            .push_back((seq, bytes.clone(), recency));
+            .push_back((seq, bytes.clone(), false));
         if self.write_raw(si, &bytes).is_err() {
             self.crash_and_revive(si, true);
         }
@@ -1290,13 +1321,17 @@ impl Inner {
         // recency-only frames (`Touch`) unacked, and over-replaying
         // those is free, so such shards skip the round trip entirely —
         // this is what keeps quiescent supervised throughput within
-        // budget of the in-process tier. The free ack drain first
-        // usually empties the buffer anyway (workers answer `Applied`
-        // promptly); `TOUCH_BACKLOG` bounds the buffer if they don't.
+        // budget of the in-process tier. Each shard's outbox (the
+        // previous cycle's `Touch` frames) goes out first, in one write;
+        // the free ack drain then usually empties what earlier cycles
+        // left (workers answer `Applied` promptly), and `touch_backlog`
+        // bounds the buffer if they don't.
         // A shard about to rotate always barriers — rotation must
         // never replay — and any real mutation left unacked barriers
         // to keep the durability window one cycle wide.
         for si in 0..self.children.len() {
+            // The previous cycle's hits: one pipe write per shard.
+            self.flush_outbox(si);
             let rotating =
                 !self.fault_plan.is_quiescent() && self.fault_plan.restarts_at(cycle, si);
             if !rotating {
@@ -1323,6 +1358,10 @@ impl Inner {
 
     fn shutdown(&mut self) {
         for si in 0..self.children.len() {
+            // The last cycle's `Touch` frames, best effort like the
+            // `Shutdown` frame: a standby's reconcile re-stamps any
+            // recency a worker missed.
+            let _ = self.write_raw(si, &[]);
             if let Some(stdin) = self.children[si].stdin.as_mut() {
                 let _ = Frame::Shutdown.write_to(stdin);
             }
@@ -1412,6 +1451,7 @@ impl ShardSupervisor {
                 ),
                 seq: 0,
                 unacked: VecDeque::new(),
+                outbox: Vec::new(),
                 stats_base: WorkerStoreStats::default(),
                 stats_last: WorkerStoreStats::default(),
                 store_ok: false,
@@ -1568,6 +1608,7 @@ impl ShardSupervisor {
                     monitor,
                     seq: commit.shard_seqs[si],
                     unacked: VecDeque::new(),
+                    outbox: Vec::new(),
                     stats_base: WorkerStoreStats::default(),
                     stats_last: WorkerStoreStats::default(),
                     store_ok: false,
@@ -1678,6 +1719,12 @@ impl ShardSupervisor {
         s
     }
 
+    /// OS process id of a shard's live worker (`None` while it is
+    /// dark), for chaos drills that deliver their own signals.
+    pub fn worker_pid(&self, shard: usize) -> Option<u32> {
+        self.inner().children[shard].child.as_ref().map(Child::id)
+    }
+
     /// Liveness state per shard.
     pub fn shard_liveness(&self) -> Vec<Liveness> {
         self.inner()
@@ -1705,15 +1752,7 @@ impl ShardSupervisor {
     /// The content key the tier derives for a request — identical to
     /// `PlanServer::key_for` under the same `serve` policy.
     pub fn key_for(&self, req: &deco_serve::PlanRequest) -> u64 {
-        let cd = canonical_deadline(req.deadline, self.config.serve.deadline_bucket);
-        plan_key(
-            &req.workflow,
-            &self.deco.store,
-            &self.deco.options,
-            cd,
-            req.percentile,
-            req.budget_hint.or(self.config.serve.budget.ticks),
-        )
+        request_key(req, &self.deco, &self.config.serve)
     }
 
     /// Kill one worker and bring it back — the out-of-process analog of

@@ -1,16 +1,14 @@
 //! Key-range shard routing.
 //!
-//! The serving layer's content keys are [`StableHasher`] digests —
-//! uniform over the full `u64` space — so the simplest partition is also
-//! a balanced one: shard *i* of *N* owns the contiguous range
-//! `[i·2⁶⁴/N, (i+1)·2⁶⁴/N)`. Contiguity is load-bearing, not just
+//! The serving layer's content keys are SplitMix64-finished digests
+//! (`deco_serve::cache`), uniform over the full `u64` space, so the
+//! simplest partition is also a balanced one: shard *i* of *N* owns the
+//! contiguous range `[i·2⁶⁴/N, (i+1)·2⁶⁴/N)`. Contiguity is load-bearing, not just
 //! simple: the serving engine iterates its observables in ascending
 //! content-key order, and walking N contiguous ranges in shard order *is*
 //! that global order. A hash-mod-N partition would interleave shards'
 //! keys and force a merge sort where the range router gets canonical
 //! order for free.
-//!
-//! [`StableHasher`]: deco_prob::hash::StableHasher
 
 /// Routes content keys to shards by contiguous `u64` range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

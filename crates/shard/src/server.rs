@@ -33,9 +33,7 @@ use deco_core::supervisor::SupervisedPlan;
 use deco_core::{Deco, DecoError};
 use deco_serve::server::{serve_trace_backend, solve_jobs_on_pool, ServeBackend, SolveJob};
 use deco_serve::store::{PlanStore, RecoveredState, StoreFrame};
-use deco_serve::{
-    canonical_deadline, plan_key, ArrivalTrace, PlanResponse, ServeConfig, ServeSession, ServeStats,
-};
+use deco_serve::{request_key, ArrivalTrace, PlanResponse, ServeConfig, ServeSession, ServeStats};
 use deco_solver::SearchBudget;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -270,15 +268,7 @@ impl ShardedServer {
     /// The content key the tier would derive for a request — identical
     /// to `PlanServer::key_for` under the same `serve` policy.
     pub fn key_for(&self, req: &deco_serve::PlanRequest) -> u64 {
-        let cd = canonical_deadline(req.deadline, self.config.serve.deadline_bucket);
-        plan_key(
-            &req.workflow,
-            &self.deco.store,
-            &self.deco.options,
-            cd,
-            req.percentile,
-            req.budget_hint.or(self.config.serve.budget.ticks),
-        )
+        request_key(req, &self.deco, &self.config.serve)
     }
 
     /// Kill one shard and bring it back. With a store attached the shard

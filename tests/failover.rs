@@ -349,7 +349,10 @@ fn abort_takeover_is_byte_identical_at_1_2_and_4_shards() {
 /// boundary the schedule chose — and the takeover still splices to the
 /// reference stream.
 fn sigkill_takeover_is_byte_identical() {
-    let n = 24;
+    // Long enough that the warm tail (every request past the first ten
+    // is a hit) outlasts the harness's poll-and-kill by a wide margin:
+    // at 24 requests the driver often finished before the kill landed.
+    let n = 400;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
     let journal = temp_dir("kill_j");
     let persist = temp_dir("kill_p");

@@ -19,13 +19,14 @@ use deco::cloud::{CloudSpec, MetadataStore};
 use deco::engine::estimate::deadline_anchors;
 use deco::engine::supervisor::plan_with_fallback;
 use deco::engine::Deco;
+use deco::prob::rng::splitmix64;
 use deco::serve::{
-    canonical_deadline, Arrival, ArrivalTrace, PlanRequest, PlanServer, PlanSource, Priority,
-    ServeConfig, ServeOutcome, ServedPlan,
+    canonical_deadline, plan_key, workflow_shape_hash, Arrival, ArrivalTrace, PlanRequest,
+    PlanServer, PlanSource, Priority, ServeConfig, ServeOutcome, ServedPlan,
 };
 use deco::solver::SearchBudget;
 use deco::workflow::generators;
-use deco::workflow::Workflow;
+use deco::workflow::{TaskId, TaskProfile, Workflow};
 use proptest::prelude::*;
 
 fn small_deco() -> Deco {
@@ -118,6 +119,128 @@ proptest! {
             );
         }
         prop_assert_eq!(cold.canonical_deadline.to_bits(), cd.to_bits());
+    }
+}
+
+type Edges = Vec<(TaskId, TaskId, f64)>;
+
+/// A workflow's content: task profiles in task order, and its edges.
+fn parts(wf: &Workflow) -> (Vec<TaskProfile>, Edges) {
+    let profiles = wf.tasks().map(|t| t.profile).collect();
+    let edges = wf.edges().map(|e| (e.from, e.to, e.bytes)).collect();
+    (profiles, edges)
+}
+
+/// Build a workflow from content, adding edges in the given order.
+fn rebuild(profiles: &[TaskProfile], edges: &[(TaskId, TaskId, f64)]) -> Workflow {
+    let mut wf = Workflow::new("rebuilt");
+    for (i, &p) in profiles.iter().enumerate() {
+        wf.add_task(format!("t{i}"), "exe", p);
+    }
+    for &(from, to, bytes) in edges {
+        wf.add_edge(from, to, bytes).expect("edges of a DAG");
+    }
+    wf
+}
+
+/// Fisher–Yates shuffle driven by a SplitMix64 stream.
+fn shuffle<T>(items: &mut [T], mut seed: u64) {
+    for i in (1..items.len()).rev() {
+        seed = splitmix64(seed);
+        items.swap(i, (seed % (i as u64 + 1)) as usize);
+    }
+}
+
+/// A NaN with the given sign and (nonzero) payload bits.
+fn nan_with(payload: u64, negative: bool) -> f64 {
+    let mantissa = (payload & 0x000F_FFFF_FFFF_FFFF).max(1);
+    let sign = if negative { 1u64 << 63 } else { 0 };
+    f64::from_bits(sign | 0x7FF0_0000_0000_0000 | mantissa)
+}
+
+proptest! {
+    /// The edge list is a set: any insertion order keys equally.
+    #[test]
+    fn content_keys_ignore_edge_insertion_order(
+        n in 2usize..40,
+        p in 0.05f64..0.5,
+        seed in 0u64..1_000_000,
+        order in 0u64..u64::MAX,
+    ) {
+        let wf = generators::random_dag(n, p, seed);
+        let (profiles, mut edges) = parts(&wf);
+        shuffle(&mut edges, order);
+        let shuffled = rebuild(&profiles, &edges);
+        prop_assert_eq!(workflow_shape_hash(&shuffled), workflow_shape_hash(&wf));
+    }
+
+    /// Every profile field and every edge is content: changing one
+    /// field of one task, one edge's bytes, or dropping one edge moves
+    /// the shape hash.
+    #[test]
+    fn content_keys_see_every_profile_field_and_edge(
+        n in 2usize..40,
+        p in 0.05f64..0.5,
+        seed in 0u64..1_000_000,
+        pick in 0usize..1_000_000,
+        field in 0usize..3,
+        delta in 0.5f64..1e6,
+    ) {
+        let wf = generators::random_dag(n, p, seed);
+        let base = workflow_shape_hash(&wf);
+        let (profiles, edges) = parts(&wf);
+
+        let mut tweaked = profiles.clone();
+        let t = &mut tweaked[pick % n];
+        match field {
+            0 => t.cpu_seconds += delta,
+            1 => t.read_bytes += delta,
+            _ => t.write_bytes += delta,
+        }
+        prop_assert_ne!(workflow_shape_hash(&rebuild(&tweaked, &edges)), base);
+
+        if !edges.is_empty() {
+            let e = pick % edges.len();
+            let mut rebytes = edges.clone();
+            rebytes[e].2 += delta;
+            prop_assert_ne!(workflow_shape_hash(&rebuild(&profiles, &rebytes)), base);
+            let mut dropped = edges.clone();
+            dropped.remove(e);
+            prop_assert_ne!(workflow_shape_hash(&rebuild(&profiles, &dropped)), base);
+        }
+    }
+
+    /// `-0.0` keys as `+0.0`, and every NaN payload as one NaN — in task
+    /// profiles, edge bytes, and the request fields of `plan_key`.
+    #[test]
+    fn content_keys_canonicalise_signed_zero_and_nan(
+        payload_a in 0u64..u64::MAX,
+        payload_b in 0u64..u64::MAX,
+        signs in 0u8..4,
+    ) {
+        let nan_a = nan_with(payload_a, signs & 1 == 1);
+        let nan_b = nan_with(payload_b, signs & 2 == 2);
+        let profile = |cpu: f64, read: f64| TaskProfile {
+            cpu_seconds: cpu,
+            read_bytes: read,
+            write_bytes: 1.0,
+        };
+        let dag = |zero: f64, nan: f64| {
+            rebuild(
+                &[profile(nan, zero), profile(2.0, 3.0)],
+                &[(TaskId(0), TaskId(1), zero)],
+            )
+        };
+        let a = dag(0.0, nan_a);
+        let b = dag(-0.0, nan_b);
+        prop_assert_eq!(workflow_shape_hash(&a), workflow_shape_hash(&b));
+
+        let deco = small_deco();
+        let key = |wf: &Workflow, deadline: f64, budget: f64| {
+            plan_key(wf, &deco.store, &deco.options, deadline, 0.9, Some(budget))
+        };
+        prop_assert_eq!(key(&a, 0.0, nan_a), key(&b, -0.0, nan_b));
+        prop_assert_ne!(key(&a, 0.0, nan_a), key(&a, 1.0, nan_a));
     }
 }
 
